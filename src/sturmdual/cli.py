@@ -5,17 +5,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from dataclasses import asdict, dataclass
 
-from . import dualmap, geom, invert, words
+from . import checks, dualmap, geom, invert, words
+# KRIEGER_PAIR and verify_cut_project_covering stay importable from here
+from .checks import KRIEGER_PAIR, verify_cut_project_covering  # noqa: F401
 from .errors import ParseError, SturmdualError
 from .quadfield import (
     Quad,
     cf_dual_transform,
     cf_expand,
-    cf_value,
     dual_frequency_value,
     format_cf,
     format_quad,
@@ -24,22 +24,9 @@ from .quadfield import (
     parse_quad,
     spectral,
 )
-from .subst import (
-    Substitution,
-    complexity_profile,
-    conjugate_power_search,
-    hulls_equal_upto,
-    is_sturmian_language,
-    parse_substitution,
-)
+from .subst import Substitution, parse_substitution
 
 SCHEMA_VERSION = 1
-
-KRIEGER_PAIR = (
-    Substitution("ab", "baabbaabbaabba"),
-    Substitution("abbaab", "baabbaabba"),
-)
-
 
 def _exact(x: Quad) -> dict:
     return {"exact": format_quad(x), "approx": round(float(x), 12)}
@@ -342,231 +329,24 @@ def _corpus(max_len: int):
     return [s for names, s in invert.generator_products(max_len) if names]
 
 
-def _suite_complexity(args):
-    bound = args.length or 30
-    for sigma in _corpus(args.max_len):
-        if not sigma.is_primitive():
-            continue
-        if not is_sturmian_language(sigma, bound):
-            return False, f"complexity escaped n+1 for {sigma}"
-    profile = complexity_profile(KRIEGER_PAIR[0], 10)
-    if profile == [n + 1 for n in range(1, 11)]:
-        return False, "non-invertible example shows Sturmian complexity"
-    return True, "factor counts are n+1 on the invertible corpus"
-
-
-def _suite_power_hull(args):
-    for sigma in _corpus(min(args.max_len, 4)):
-        if not sigma.is_primitive():
-            continue
-        for n in (2, 3):
-            if not hulls_equal_upto(sigma, sigma.power(n), 12):
-                return False, f"power {n} of {sigma} changed the factor sets"
-    return True, "factor sets are power-invariant"
-
-
-def _suite_conjugacy_matrix(args):
-    corpus = [s for s in _corpus(args.max_len) if s.is_primitive()]
-    by_matrix: dict[tuple, Substitution] = {}
-    checked = 0
-    for sigma in corpus:
-        key = sigma.matrix().rows()
-        if key in by_matrix:
-            other = by_matrix[key]
-            if not invert.are_conjugate(sigma, other):
-                return False, f"equal matrices but not conjugate: {sigma} vs {other}"
-            checked += 1
-        else:
-            by_matrix[key] = sigma
-    return True, f"{checked} equal-matrix pairs all conjugate"
-
-
-def _suite_rigidity(args):
-    sigma, rho = KRIEGER_PAIR
-    if not hulls_equal_upto(sigma, rho, 50):
-        return False, "equal-hull example has distinct factor sets"
-    if conjugate_power_search(sigma, rho, 6) is not None:
-        return False, "equal-hull example unexpectedly conjugate up to powers"
-    found = 0
-    for sub in _corpus(min(args.max_len, 5)):
-        if not sub.is_primitive():
-            continue
-        first = sub.img_a[0]
-        if sub.img_b[0] != first:
-            continue
-        twisted = Substitution(
-            words.reduce_concat(
-                words.reduce_concat(first.upper(), sub.img_a), first
-            ),
-            words.reduce_concat(
-                words.reduce_concat(first.upper(), sub.img_b), first
-            ),
-        )
-        result = conjugate_power_search(sub, twisted, 1)
-        if result is None or result[:2] != (1, 1):
-            return False, f"inner twist of {sub} not found at powers (1,1)"
-        found += 1
-        if found >= 40:
-            break
-    return True, f"rigidity holds; {found} inner twists recovered"
-
-
-def _suite_dual_contravariance(args):
-    rng = random.Random(73)
-    pool = [s for s in _corpus(5) if s.is_unimodular()]
-    for _ in range(args.count):
-        sigma = rng.choice(pool)
-        tau = rng.choice(pool)
-        seg = dualmap.Segment(rng.randint(-3, 3), rng.randint(-3, 3), rng.choice(("a*", "b*")))
-        s = dualmap.StrandSum([seg])
-        lhs = dualmap.e1_star_apply(sigma.compose(tau), s)
-        rhs = dualmap.e1_star_apply(tau, dualmap.e1_star_apply(sigma, s))
-        if lhs != rhs:
-            return False, f"contravariance failed for {sigma} after {tau}"
-    return True, f"{args.count} random composite images agree"
-
-
-def _suite_window_stability(args):
-    for sigma in _corpus(min(args.max_len, 5)):
-        if not (sigma.is_primitive() and sigma.is_unimodular()):
-            continue
-        spec = spectral(sigma.matrix())
-        segs = dualmap.s_alpha_segments(spec, 10)
-        union: dict = {}
-        for seg in segs:
-            image = dualmap.e1_star_apply(sigma, dualmap.StrandSum([seg]))
-            for out_seg, mult in image.items():
-                if not dualmap.in_s_alpha(out_seg, spec):
-                    return False, f"image of {seg} under {sigma} leaves the stepped line"
-                union[out_seg] = union.get(out_seg, 0) + mult
-        if any(v > 1 for v in union.values()):
-            return False, f"duplicate image segments for {sigma}"
-    return True, "stepped line is invariant with duplicate-free images"
-
-
-def _suite_strand_connectivity(args):
-    for sigma in _corpus(min(args.max_len, 5)):
-        if not (sigma.is_primitive() and invert.is_invertible(sigma)):
-            continue
-        spec = spectral(sigma.matrix())
-        segs = dualmap.s_alpha_segments(spec, 8)
-        for length in (2, 4, 6):
-            for start in range(0, len(segs) - length, 5):
-                piece = dualmap.StrandSum(segs[start : start + length])
-                image = dualmap.e1_star_apply(sigma, piece)
-                if not dualmap.is_dual_strand(image):
-                    return False, f"disconnected image of a substrand under {sigma}"
-    return True, "finite substrands map onto strands"
-
-
-def _suite_dual_frequency(args):
-    for sigma in _corpus(args.max_len):
-        if not (sigma.is_primitive() and sigma.det() == 1):
-            continue
-        spec = spectral(sigma.matrix())
-        formula = dual_frequency_value(spec.alpha)
-        transposed = spectral(sigma.matrix().transpose()).alpha
-        if formula != transposed:
-            return False, f"dual frequency formula disagrees for {sigma}"
-    return True, "formula matches the transposed spectral data"
-
-
-def _suite_reciprocal_dual(args):
-    for sigma in _corpus(min(args.max_len, 6)):
-        if not (sigma.is_primitive() and sigma.det() == 1):
-            continue
-        bound = args.length or 20
-        bar = invert.reciprocal(sigma)
-        dual = dualmap.dual_substitution(sigma)
-        swapped = invert.GEN_E.compose(bar).compose(invert.GEN_E)
-        if not (
-            hulls_equal_upto(dual, bar, bound)
-            or hulls_equal_upto(dual, swapped, bound)
-        ):
-            return False, f"reciprocal and dual factor sets differ for {sigma}"
-    return True, "reciprocal and dual substitutions generate the same language"
-
-
-def _suite_selfdual_forms(args):
-    for sigma in _corpus(args.max_len):
-        if not (sigma.is_primitive() and sigma.det() == 1):
-            continue
-        # selfdual_class asserts agreement with the matrix shapes internally
-        invert.selfdual_class(sigma)
-    return True, "conjugacy classification matches the matrix shapes"
-
-
-def _suite_palindrome(args):
-    for sigma in _corpus(args.max_len):
-        if not (sigma.is_primitive() and sigma.det() == 1):
-            continue
-        spec = spectral(sigma.matrix())
-        palindromic = is_selfdual_frequency(cf_expand(spec.alpha))
-        selfdual = spec.alpha == dual_frequency_value(spec.alpha)
-        if palindromic != selfdual:
-            return False, f"palindrome test disagrees for {sigma}"
-    return True, "palindromic expansions match selfdual frequencies"
-
-
-def _suite_cf_dual(args):
-    seen = set()
-    tested = 0
-    for sigma in _corpus(args.max_len):
-        if not (sigma.is_primitive() and sigma.det() == 1):
-            continue
-        alpha = spectral(sigma.matrix()).alpha
-        if alpha in seen:
-            continue
-        seen.add(alpha)
-        c = cf_expand(alpha)
-        transformed = cf_dual_transform(c)
-        if cf_value(transformed) != dual_frequency_value(alpha):
-            return False, f"expansion transform wrong for {sigma}"
-        tested += 1
-    if args.max_len >= 8 and tested < 30:
-        return False, f"only {tested} distinct frequencies available"
-    return True, f"{tested} expansions transformed correctly"
-
-
-def _suite_star_relation(args):
-    for sigma in _corpus(min(args.max_len, 6)):
-        if not (sigma.is_primitive() and sigma.is_unimodular()):
-            continue
-        if not geom.star_relation_check(sigma):
-            return False, f"digit matrix identity fails for {sigma}"
-    return True, "starred transpose equals the scaled window digits everywhere"
-
-
-def _suite_cut_project(args):
-    for sigma in _corpus(min(args.max_len, 5)):
-        if not (sigma.is_primitive() and sigma.det() == 1):
-            continue
-        if not verify_cut_project_covering(sigma, (0, 30)):
-            return False, f"vertex set differs from the model set for {sigma}"
-    return True, "patch vertices equal the projected lattice points"
-
-
-def verify_cut_project_covering(sigma: Substitution, phys_range) -> bool:
-    """cut_project_verify at the smallest depth whose patch spans the range."""
-    depth = geom.covering_depth(sigma, phys_range[1])
-    return geom.cut_project_verify(sigma, depth, phys_range)
-
-
+# suite name -> the check on the generator corpus, with its cap on --max-len
 VERIFY_SUITES = {
-    "complexity": _suite_complexity,
-    "power-hull": _suite_power_hull,
-    "conjugacy-matrix": _suite_conjugacy_matrix,
-    "rigidity": _suite_rigidity,
-    "dual-contravariance": _suite_dual_contravariance,
-    "window-stability": _suite_window_stability,
-    "strand-connectivity": _suite_strand_connectivity,
-    "dual-frequency": _suite_dual_frequency,
-    "reciprocal-dual": _suite_reciprocal_dual,
-    "selfdual-forms": _suite_selfdual_forms,
-    "palindrome": _suite_palindrome,
-    "cf-dual": _suite_cf_dual,
-    "star-relation": _suite_star_relation,
-    "cut-project": _suite_cut_project,
+    "complexity": lambda a: checks.complexity(_corpus(a.max_len), a.length or 30),
+    "power-hull": lambda a: checks.power_hull(_corpus(min(a.max_len, 4))),
+    "conjugacy-matrix": lambda a: checks.conjugacy_matrix(_corpus(a.max_len)),
+    "rigidity": lambda a: checks.rigidity(_corpus(min(a.max_len, 5))),
+    "dual-contravariance": lambda a: checks.dual_contravariance(_corpus(5), count=a.count),
+    "window-stability": lambda a: checks.window_stability(_corpus(min(a.max_len, 5))),
+    "strand-connectivity": lambda a: checks.strand_connectivity(_corpus(min(a.max_len, 5))),
+    "dual-frequency": lambda a: checks.dual_frequency(_corpus(a.max_len)),
+    "reciprocal-dual": lambda a: checks.reciprocal_dual(
+        _corpus(min(a.max_len, 6)), a.length or 20
+    ),
+    "selfdual-forms": lambda a: checks.selfdual_forms(_corpus(a.max_len)),
+    "palindrome": lambda a: checks.palindrome(_corpus(a.max_len)),
+    "cf-dual": lambda a: checks.cf_dual(_corpus(a.max_len), 30 if a.max_len >= 8 else 0),
+    "star-relation": lambda a: checks.star_relation(_corpus(min(a.max_len, 6))),
+    "cut-project": lambda a: checks.cut_project(_corpus(min(a.max_len, 5))),
 }
 
 
@@ -575,9 +355,9 @@ def cmd_verify(args, out) -> int:
         raise SturmdualError(
             f"unknown suite {args.suite!r}; choose from {', '.join(sorted(VERIFY_SUITES))}"
         )
-    ok, detail = VERIFY_SUITES[args.suite](args)
-    out.write(f"{args.suite}: {'PASS' if ok else 'FAIL'} - {detail}\n")
-    return 0
+    result = VERIFY_SUITES[args.suite](args)
+    out.write(f"{args.suite}: {'PASS' if result.ok else 'FAIL'} - {result.detail}\n")
+    return 0 if result.ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -620,17 +400,11 @@ def render_svg(sigma: Substitution, target: str, iterations: int, scale: float) 
         raise SturmdualError("iterations must be >= 0")
     if scale <= 0:
         raise SturmdualError("scale must be positive")
-    if target == "strand":
-        s = dualmap.StrandSum.single(0, 0, "a")
+    if target in ("strand", "dual_strand"):
+        dual = target == "dual_strand"
+        s = dualmap.StrandSum.single(0, 0, "a*" if dual else "a")
         for _ in range(iterations):
-            s = dualmap.e1_apply(sigma, s)
-        chain = dualmap.sort_along(s)
-        pts = [chain[0].traversal_start()] + [seg.traversal_end() for seg in chain]
-        return _polyline_svg(pts, scale)
-    if target == "dual_strand":
-        s = dualmap.StrandSum.single(0, 0, "a*")
-        for _ in range(iterations):
-            s = dualmap.e1_star_apply(sigma, s)
+            s = (dualmap.e1_star_apply if dual else dualmap.e1_apply)(sigma, s)
         chain = dualmap.sort_along(s)
         pts = [chain[0].traversal_start()] + [seg.traversal_end() for seg in chain]
         return _polyline_svg(pts, scale)
@@ -783,7 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a property verification suite")
     p.add_argument("suite", help=", ".join(sorted(VERIFY_SUITES)))
     p.add_argument("--max-len", type=int, default=8)
-    p.add_argument("--depth", type=int, default=9)
     p.add_argument("--count", type=int, default=100)
     p.add_argument(
         "--length", type=int, default=None, help="factor length (suite default)"

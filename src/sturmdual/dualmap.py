@@ -253,9 +253,10 @@ def dual_substitution(sigma: Substitution) -> Substitution:
             )
         images[x] = code_dual_strand(image)
     dual = Substitution(images["a"], images["b"])
-    assert dual.matrix() == sigma.matrix().transpose()
-    if sigma.det() == 1 and is_invertible(sigma):
-        assert is_invertible(dual)
+    if dual.matrix() != sigma.matrix().transpose():
+        raise SturmdualError(f"matrix of the dual {dual} of {sigma} is not the transpose")
+    if sigma.det() == 1 and is_invertible(sigma) and not is_invertible(dual):
+        raise SturmdualError(f"dual {dual} of the invertible {sigma} is not invertible")
     return dual
 
 
@@ -272,7 +273,7 @@ def in_s_alpha(seg: Segment, spec: SpectralData) -> bool:
 def s_alpha_segments(spec: SpectralData, radius: int) -> list[Segment]:
     """The segments of the stepped line with traversal key in [-radius, radius].
 
-    There is exactly one segment per key, which is asserted.
+    There is exactly one segment per key, which is checked.
     """
     out = []
     for key in range(-radius, radius + 1):
@@ -290,6 +291,7 @@ def s_alpha_segments(spec: SpectralData, radius: int) -> list[Segment]:
             while Quad(y) < hi:
                 found.append(Segment(key + shift + y, y, kind))
                 y += 1
-        assert len(found) == 1, f"stepped line has {len(found)} segments at key {key}"
+        if len(found) != 1:
+            raise SturmdualError(f"stepped line has {len(found)} segments at key {key}")
         out.append(found[0])
     return out

@@ -18,7 +18,7 @@ from .errors import (
     SturmdualError,
 )
 from .quadfield import QUAD_ONE, QUAD_ZERO, Quad, spectral
-from .subst import Mat2, Substitution, fixed_point_prefix
+from .subst import Mat2, Substitution, fixed_point_prefix, letter_fixing_power
 
 _IDX = {"a": 0, "b": 1}
 
@@ -110,7 +110,8 @@ def tile_subst_from(sigma: Substitution) -> TileSubst:
     digits = DigitMatrix.from_lists(
         [[table[("a", "a")], table[("a", "b")]], [table[("b", "a")], table[("b", "b")]]]
     )
-    assert digits.cardinalities() == sigma.matrix()
+    if digits.cardinalities() != sigma.matrix():
+        raise SturmdualError(f"digit counts of {sigma} differ from its matrix")
     return TileSubst(
         inflation=spec.lam,
         lengths=(QUAD_ONE, spec.ell),
@@ -304,7 +305,8 @@ def rauzy_decomposition(sigma: Substitution, depth: int = 9) -> RauzyDecompositi
             raise NonIntervalWindowError(
                 f"prefix valuation escapes the solved window of {sigma}"
             )
-    assert max(lo["a"], lo["b"]) <= min(hi["a"], hi["b"])
+    if max(lo["a"], lo["b"]) > min(hi["a"], hi["b"]):
+        raise NonIntervalWindowError(f"the two windows of {sigma} do not meet")
     return RauzyDecomposition(
         r_a=(lo["a"], hi["a"]), r_b=(lo["b"], hi["b"]), depth=depth
     )
@@ -372,7 +374,8 @@ def cut_project_points(lat: Lattice, window, phys_range, closed: str = "lo") -> 
     wlo, whi = (_as_quad(window[0]), _as_quad(window[1]))
     rlo, rhi = (_as_quad(phys_range[0]), _as_quad(phys_range[1]))
     denom = lat.ell - lat.ell_conj
-    assert denom.sign() > 0
+    if denom.sign() <= 0:
+        raise SturmdualError("lattice basis is degenerate: ell <= ell'")
     beta_lo = ((rlo - whi) / denom).floor() - 1
     beta_hi = ((rhi - wlo) / denom).ceil() + 1
     points = []
@@ -393,12 +396,7 @@ def covering_depth(sigma: Substitution, hi) -> int:
     """Smallest patch level whose fixed-point patch spans [0, hi]."""
     hi = _as_quad(hi)
     spec = spectral(sigma.matrix())
-    seed = fixed_point_prefix(sigma, 1)
-    power = 1
-    tau = sigma
-    while not tau.image(seed).startswith(seed):
-        power += 1
-        tau = tau.compose(sigma)
+    power, seed, _ = letter_fixing_power(sigma)
     m = sigma.matrix()
     depth = power
     while True:
@@ -421,12 +419,7 @@ def cut_project_verify(sigma: Substitution, depth: int, phys_range) -> bool:
     matching abelianization.  Both sides are computed exactly.
     """
     rlo, rhi = (_as_quad(phys_range[0]), _as_quad(phys_range[1]))
-    seed = fixed_point_prefix(sigma, 1)
-    power = 1
-    tau = sigma
-    while not tau.image(seed).startswith(seed):
-        power += 1
-        tau = tau.compose(sigma)
+    power, seed, _ = letter_fixing_power(sigma)
     levels = depth if depth % power == 0 else depth + power - depth % power
 
     t = tile_subst_from(sigma)

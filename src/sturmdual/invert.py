@@ -74,7 +74,9 @@ def decompose(sigma: Substitution) -> tuple[str, ...] | None:
         else:
             return None
     result = tuple(factors)
-    assert compose_generators(result) == sigma
+    if compose_generators(result) != sigma:
+        names = format_decomposition(result)
+        raise SturmdualError(f"generators {names} do not compose to {sigma}")
     return result
 
 
@@ -91,7 +93,8 @@ def inverse(sigma: Substitution) -> FreeEndo:
     for name in reversed(factors):
         out = out.compose(_INVERSE_GENERATORS[name])
     for x in "ab":
-        assert sigma.apply(out.apply(x)) == x
+        if sigma.apply(out.apply(x)) != x:
+            raise SturmdualError(f"{out} is not the inverse of {sigma}")
     return out
 
 
@@ -112,7 +115,8 @@ def reciprocal(sigma: Substitution) -> Substitution:
         raise SturmdualError(f"reciprocal of {sigma} is not positive")
     bar = Substitution(bar_a, bar_b)
     me = GEN_E.matrix()
-    assert me.mul(bar.matrix()).mul(me) == sigma.matrix().transpose()
+    if me.mul(bar.matrix()).mul(me) != sigma.matrix().transpose():
+        raise SturmdualError(f"matrix of the reciprocal {bar} of {sigma} is wrong")
     return bar
 
 
@@ -155,8 +159,8 @@ def are_conjugate(sigma: Substitution, rho: Substitution) -> bool:
     """Equal matrices decide conjugacy for invertible substitutions."""
     if sigma.matrix() != rho.matrix():
         return False
-    witness = find_conjugator(sigma, rho)
-    assert witness is not None, "equal matrices but no conjugator found"
+    if find_conjugator(sigma, rho) is None:
+        raise SturmdualError(f"equal matrices but no conjugator for {sigma} and {rho}")
     return True
 
 
@@ -177,7 +181,7 @@ def selfdual_class(sigma: Substitution) -> SelfdualClass:
 
     "direct" when conjugate to the reciprocal itself, "mirror" when
     conjugate to the letter-swapped reciprocal.  The outcome must agree
-    with the matrix-shape test, which is asserted.
+    with the matrix-shape test, which is checked.
     """
     if not sigma.is_primitive():
         raise SturmdualError(f"{sigma} is not primitive")
@@ -185,14 +189,15 @@ def selfdual_class(sigma: Substitution) -> SelfdualClass:
     mirrored = GEN_E.compose(bar).compose(GEN_E)
     if sigma.matrix() == bar.matrix():
         result = SelfdualClass("direct", find_conjugator(sigma, bar))
-        assert result.witness is not None
     elif sigma.matrix() == mirrored.matrix():
         result = SelfdualClass("mirror", find_conjugator(sigma, mirrored))
-        assert result.witness is not None
     else:
         result = SelfdualClass("not_selfdual", None)
+    if result.kind != "not_selfdual" and result.witness is None:
+        raise SturmdualError(f"no conjugating word for the {result.kind} class of {sigma}")
     form = matrix_selfdual_form(sigma.matrix())
-    assert (form is not None) == (result.kind != "not_selfdual")
+    if (form is not None) != (result.kind != "not_selfdual"):
+        raise SturmdualError(f"class {result.kind} of {sigma} disagrees with its matrix shape")
     return result
 
 
@@ -216,7 +221,8 @@ def matrix_selfdual_form(m: Mat2) -> tuple[str, int, int] | None:
     inv = m.inverse_unimodular()
     q_pred = _conj(Mat2(-1, 0, 0, 1), m) == inv or _conj(Mat2(0, -1, 1, 0), m) == inv
     t_pred = m == m.transpose() or _conj(Mat2(0, 1, 1, 0), m) == m.transpose()
-    assert (form is not None) == q_pred == t_pred
+    if not ((form is not None) == q_pred == t_pred):
+        raise SturmdualError(f"matrix shape of {m} disagrees with the conjugation predicates")
     return form
 
 

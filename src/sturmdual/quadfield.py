@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import DeterminantMinusOneError, SturmdualError
 
@@ -341,20 +341,17 @@ class SpectralData:
     @property
     def det(self) -> int:
         prod = self.lam * self.lam_conj
-        assert prod.is_rational
+        if not prod.is_rational:
+            raise SturmdualError(f"eigenvalue product {prod} is not rational")
         return int(prod.p)
 
 
 def spectral(m) -> SpectralData:
-    """Exact eigendata for a primitive matrix with determinant +-1.
-
-    Accepts any object with integer attributes m11, m12, m21, m22 (see
-    subst.Mat2).
-    """
-    det = m.m11 * m.m22 - m.m12 * m.m21
+    """Exact eigendata for a primitive subst.Mat2 with determinant +-1."""
+    det = m.det()
     if det not in (1, -1):
         raise SturmdualError(f"matrix has determinant {det}, not +-1")
-    if not _mat_is_primitive(m):
+    if not m.is_primitive():
         raise SturmdualError("matrix is not primitive")
     tr = m.m11 + m.m22
     disc = tr * tr - 4 * det
@@ -368,15 +365,6 @@ def spectral(m) -> SpectralData:
     # left eigenvector (1, ell):  m11 + ell m21 = lam
     ell = (lam - m.m11) / m.m21
     return SpectralData(lam, lam_conj, alpha, alpha.star(), ell, ell.star())
-
-
-def _mat_is_primitive(m) -> bool:
-    a, b, c, d = m.m11, m.m12, m.m21, m.m22
-    if min(a, b, c, d) < 0:
-        return False
-    # Wielandt bound for 2x2: primitive iff M^2 > 0
-    sq = (a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d)
-    return all(e > 0 for e in sq)
 
 
 def dual_frequency(s: SpectralData) -> Quad:
@@ -533,7 +521,7 @@ def cf_expand(x: Quad) -> CF:
         return CF(tuple(quotients), ())
 
     # write x = (P + sqrt(N)) / Q with integers, Q | (N - P^2)
-    common = (x.p.denominator * x.q.denominator) // _gcd(
+    common = (x.p.denominator * x.q.denominator) // gcd(
         x.p.denominator, x.q.denominator
     )
     a_int = int(x.p * common)
@@ -561,12 +549,6 @@ def cf_expand(x: Quad) -> CF:
         pcur, qcur = pnext, qnext
     start = seen[(pcur, qcur)]
     return CF(tuple(quotients[:start]), tuple(quotients[start:]), x)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def cf_value(c: CF, radicand: int | None = None) -> Quad:

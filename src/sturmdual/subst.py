@@ -105,6 +105,14 @@ class _MorphismBase:
             out = words.reduce_concat(out, piece)
         return out
 
+    def power(self, n: int):
+        if n < 1:
+            raise ValueError("power must be >= 1")
+        out = self
+        for _ in range(n - 1):
+            out = out.compose(self)
+        return out
+
     def matrix(self) -> Mat2:
         na_a, nb_a = words.abelianize(self.img_a)
         na_b, nb_b = words.abelianize(self.img_b)
@@ -142,14 +150,6 @@ class Substitution(_MorphismBase):
             )
         return FreeEndo(self.apply(other.img_a), self.apply(other.img_b))
 
-    def power(self, n: int) -> "Substitution":
-        if n < 1:
-            raise ValueError("power must be >= 1")
-        out = self
-        for _ in range(n - 1):
-            out = out.compose(self)
-        return out
-
     def is_primitive(self) -> bool:
         return self.matrix().is_primitive()
 
@@ -171,14 +171,6 @@ class FreeEndo(_MorphismBase):
     def compose(self, other: "Substitution | FreeEndo") -> "FreeEndo":
         return FreeEndo(self.apply(other.img_a), self.apply(other.img_b))
 
-    def power(self, n: int) -> "FreeEndo":
-        if n < 1:
-            raise ValueError("power must be >= 1")
-        out = self
-        for _ in range(n - 1):
-            out = out.compose(self)
-        return out
-
     def __str__(self):
         return f"a->{words.format_word(self.img_a)},b->{words.format_word(self.img_b)}"
 
@@ -193,7 +185,6 @@ def _parse_rules(text: str) -> dict[str, str]:
     compact = "".join(text.split())
     parts = [p for p in re.split(r"[,;]", compact) if p]
     rules: dict[str, str] = {}
-    offset = 0
     for part in parts:
         m = _RULE_RE.match(part)
         if not m:
@@ -202,7 +193,6 @@ def _parse_rules(text: str) -> dict[str, str]:
         if letter in rules:
             raise ParseError(f"duplicate rule for {letter!r}")
         rules[letter] = image
-        offset += len(part)
     if set(rules) != {"a", "b"}:
         raise ParseError("need exactly one rule for each of a and b")
     return rules
@@ -231,33 +221,30 @@ def parse_endo(text: str) -> FreeEndo:
 # ---------------------------------------------------------------------------
 
 
-def fixed_point_prefix(sigma: Substitution, n: int) -> str:
-    """Length-n prefix of the one-sided fixed point of a power of sigma.
+def letter_fixing_power(sigma: Substitution) -> tuple[int, str, Substitution]:
+    """(p, x, sigma^p) for the least p <= 4 (p <= 2 if sigma is primitive)
+    whose image of a letter x, a before b, starts with x and is longer."""
+    tau = sigma
+    for p in range(1, 5):
+        for letter in "ab":
+            image = tau.image(letter)
+            if image.startswith(letter) and len(image) > 1:
+                return p, letter, tau
+        tau = tau.compose(sigma)
+    raise SturmdualError("no expanding letter-fixed power <= 4; not primitive")
 
-    Uses the smallest power p <= 4 whose image of some letter starts
-    with that letter (p <= 2 suffices for primitive substitutions; 4 is
-    a defensive bound).
-    """
+
+def fixed_point_prefix(sigma: Substitution, n: int) -> str:
+    """Length-n prefix of the one-sided fixed point of sigma^p, for the
+    letter-fixing power p (see letter_fixing_power)."""
     if n < 0:
         raise ValueError("prefix length must be >= 0")
-    tau = None
-    seed = None
-    power = sigma
-    for _ in range(4):
-        for letter in "ab":
-            if power.image(letter).startswith(letter) and len(power.image(letter)) > 1:
-                tau, seed = power, letter
-                break
-        if tau:
-            break
-        power = power.compose(sigma)
-    if tau is None:
-        raise SturmdualError("no expanding letter-fixed power <= 4; not primitive")
-    word = seed
+    _, word, tau = letter_fixing_power(sigma)
     while len(word) < n:
         word = tau.apply_positive(word)
     prefix = word[:n]
-    assert tau.apply_positive(prefix).startswith(prefix)
+    if not tau.apply_positive(prefix).startswith(prefix):
+        raise SturmdualError(f"prefix of length {n} is not fixed by {tau}")
     return prefix
 
 

@@ -1,59 +1,29 @@
 """Acceptance criteria, one test per criterion, exact tolerances throughout.
 
 Run with -s to see one PASS line per criterion.  The corpus is the
-deduplicated set of all generator products of length at most 8.
+deduplicated set of all generator products of length at most 8.  The
+properties over the corpus are the checks of ``sturmdual.checks``, the
+same code that ``sturmdual verify`` runs; the negative controls on the
+equal-hull pair are part of the complexity and rigidity checks.
 """
 
-import random
 from fractions import Fraction as F
 
-from conftest import FIB, KRIEGER, KRIEGER_PARTNER, RHO, SIG_UNCHANGED
-from sturmdual import words
-from sturmdual.cli import verify_cut_project_covering
-from sturmdual.dualmap import (
-    StrandSum,
-    Segment,
-    dual_substitution,
-    e1_star_apply,
-    in_s_alpha,
-    is_dual_strand,
-    s_alpha_segments,
-)
+from conftest import RHO, SIG_UNCHANGED
+from sturmdual import checks
+from sturmdual.checks import verify_cut_project_covering
+from sturmdual.dualmap import dual_substitution
 from sturmdual.geom import (
     DigitMatrix,
+    characteristic_word,
     e_matrix,
     rauzy_decomposition,
     star_dual,
-    star_relation_check,
     tile_subst_from,
 )
-from sturmdual.invert import (
-    GEN_E,
-    GEN_L,
-    find_conjugator,
-    generator_products,
-    matrix_selfdual_form,
-    reciprocal,
-    selfdual_class,
-)
-from sturmdual.quadfield import (
-    Quad,
-    cf_dual_transform,
-    cf_expand,
-    cf_value,
-    dual_frequency_value,
-    is_selfdual_frequency,
-    spectral,
-)
-from sturmdual.subst import (
-    Substitution,
-    conjugate_power_search,
-    factor_language,
-    fixed_point_prefix,
-    hulls_equal_upto,
-    is_sturmian_language,
-)
-from sturmdual.geom import characteristic_word
+from sturmdual.invert import GEN_E, GEN_L, find_conjugator, reciprocal
+from sturmdual.quadfield import Quad
+from sturmdual.subst import Substitution, fixed_point_prefix
 
 TAU = Quad(F(1, 2), F(1, 2), 5)
 ALPHA_RHO = Quad(F(3, 2), F(-1, 2), 5)
@@ -95,13 +65,10 @@ def test_acceptance_03_digit_matrices(corpus8_primitive):
     assert e_matrix(RHO) == DigitMatrix.from_lists(
         [[{Quad(0), -TAU}, {tau_sq}], [{Quad(0)}, {tau_sq}]]
     )
-    checked = 0
-    for sub in corpus8_primitive:
-        if sub.is_unimodular():
-            assert star_relation_check(sub)
-            checked += 1
-    assert checked > 1000
-    report(3, f"digit matrices exact; star relation on {checked} corpus members")
+    result = checks.star_relation(corpus8_primitive)
+    assert result.ok, result.detail
+    assert result.checked > 1000
+    report(3, f"digit matrices exact; star relation on {result.checked} corpus members")
 
 
 def test_acceptance_04_rauzy_windows():
@@ -112,115 +79,70 @@ def test_acceptance_04_rauzy_windows():
 
 
 def test_acceptance_05_selfdual_matrix_forms(corpus8_det1):
-    for sub in corpus8_det1:
-        by_conjugacy = selfdual_class(sub).kind != "not_selfdual"
-        by_matrix = matrix_selfdual_form(sub.matrix()) is not None
-        assert by_conjugacy == by_matrix
-    report(5, f"selfduality matches the matrix shapes on {len(corpus8_det1)} members")
+    result = checks.selfdual_forms(corpus8_det1)
+    assert result.ok, result.detail
+    report(5, f"selfduality matches the matrix shapes on {result.checked} members")
 
 
 def test_acceptance_06_dual_frequency_and_palindromes(corpus8_det1):
-    distinct = set()
-    for sub in corpus8_det1:
-        spec = spectral(sub.matrix())
-        alpha, alpha_conj = spec.alpha, spec.alpha_conj
-        star = dual_frequency_value(alpha)
-        assert star == spectral(sub.matrix().transpose()).alpha
-        identity_holds = alpha * alpha_conj * 2 == alpha + alpha_conj - 1
-        assert identity_holds == (alpha == star)
-        assert is_selfdual_frequency(cf_expand(alpha)) == (alpha == star)
-        distinct.add(alpha)
-    transformed = 0
-    for alpha in distinct:
-        out = cf_dual_transform(cf_expand(alpha))
-        assert cf_value(out) == dual_frequency_value(alpha)
-        transformed += 1
-    assert transformed >= 30
-    report(6, f"dual-frequency laws exact; {transformed} expansions transformed")
+    for check in (checks.dual_frequency, checks.palindrome):
+        result = check(corpus8_det1)
+        assert result.ok, result.detail
+    result = checks.cf_dual(corpus8_det1)
+    assert result.ok, result.detail
+    assert result.checked >= 30
+    report(6, f"dual-frequency laws exact; {result.checked} expansions transformed")
 
 
 def test_acceptance_07_sturmian_complexity(corpus8_primitive):
-    for sub in corpus8_primitive:
-        assert is_sturmian_language(sub, 30)
-    assert not is_sturmian_language(KRIEGER, 10)
+    result = checks.complexity(corpus8_primitive, 30)
+    assert result.ok, result.detail
     assert characteristic_word(ALPHA_RHO, 5) == "abaab"
     assert characteristic_word(ALPHA_RHO, 5) == fixed_point_prefix(RHO, 5)
     report(
         7,
-        f"factor counts are n+1 up to 30 on {len(corpus8_primitive)} members; "
+        f"factor counts are n+1 up to 30 on {result.checked} members; "
         "the non-invertible example fails",
     )
 
 
 def test_acceptance_08_rigidity(corpus8_primitive):
-    assert hulls_equal_upto(KRIEGER, KRIEGER_PARTNER, 50)
-    assert conjugate_power_search(KRIEGER, KRIEGER_PARTNER, 6) is None
-    twisted_count = 0
-    for sub in corpus8_primitive:
-        first = sub.img_a[0]
-        if sub.img_b[0] != first:
-            continue
-        inv = first.upper()
-        twisted = Substitution(
-            words.reduce_concat(words.reduce_concat(inv, sub.img_a), first),
-            words.reduce_concat(words.reduce_concat(inv, sub.img_b), first),
-        )
-        result = conjugate_power_search(sub, twisted, 1)
-        assert result == (1, 1, first)
-        twisted_count += 1
-        if twisted_count >= 100:
-            break
-    assert twisted_count >= 100
+    result = checks.rigidity(corpus8_primitive, twists=100)
+    assert result.ok, result.detail
+    assert result.checked >= 100
     report(8, "equal hulls without conjugate powers; inner twists recovered at (1,1)")
 
 
 def test_acceptance_09_dual_map_structure(corpus8, corpus8_primitive):
-    rng = random.Random(20260808)
-    pool = [s for s in corpus8 if s.is_unimodular() and len(s.img_a + s.img_b) <= 12]
-    for _ in range(100):
-        sigma, tau = rng.choice(pool), rng.choice(pool)
-        seg = Segment(rng.randint(-3, 3), rng.randint(-3, 3), rng.choice(("a*", "b*")))
-        s = StrandSum([seg])
-        assert e1_star_apply(sigma.compose(tau), s) == e1_star_apply(
-            tau, e1_star_apply(sigma, s)
-        )
-
-    unimodular = [s for s in corpus8_primitive if s.is_unimodular()]
-    for sub in unimodular:
-        spec = spectral(sub.matrix())
-        segs = s_alpha_segments(spec, 10)
-        union = {}
-        for seg in segs:
-            for out_seg, mult in e1_star_apply(sub, StrandSum([seg])).items():
-                assert in_s_alpha(out_seg, spec)
-                union[out_seg] = union.get(out_seg, 0) + mult
-        assert all(v == 1 for v in union.values())
-        for length in (2, 3, 4, 5, 6):
-            for start in range(0, len(segs) - length, 3):
-                piece = StrandSum(segs[start : start + length])
-                assert is_dual_strand(e1_star_apply(sub, piece))
+    pool = [s for s in corpus8 if len(s.img_a + s.img_b) <= 12]
+    results = [
+        checks.dual_contravariance(pool, seed=20260808, count=100),
+        checks.window_stability(corpus8_primitive, radius=10),
+        checks.strand_connectivity(
+            corpus8_primitive, radius=10, lengths=range(2, 7), step=3
+        ),
+    ]
+    for result in results:
+        assert result.ok, result.detail
     report(
         9,
         f"contravariance, stepped-line stability and substrand connectivity "
-        f"on {len(unimodular)} members",
+        f"on {results[1].checked} members",
     )
 
 
 def test_acceptance_10_cut_and_project(corpus8_det1):
     assert verify_cut_project_covering(RHO, (0, 30))
-    for sub in corpus8_det1:
-        assert verify_cut_project_covering(sub, (0, 30))
-    report(10, f"patch vertices equal the model sets on {len(corpus8_det1)} members")
+    result = checks.cut_project(corpus8_det1, (0, 30))
+    assert result.ok, result.detail
+    report(10, f"patch vertices equal the model sets on {result.checked} members")
 
 
 def test_acceptance_11_reciprocal_vs_dual_language(corpus8_det1):
-    for sub in corpus8_det1:
-        bar = reciprocal(sub)
-        dual = dual_substitution(sub)
-        swapped = GEN_E.compose(bar).compose(GEN_E)
-        assert hulls_equal_upto(dual, bar, 20) or hulls_equal_upto(dual, swapped, 20)
+    result = checks.reciprocal_dual(corpus8_det1, 20)
+    assert result.ok, result.detail
     report(
         11,
         f"reciprocal and dual generate the same language (up to letter swap) "
-        f"on {len(corpus8_det1)} members",
+        f"on {result.checked} members",
     )

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
-import pytest
-
+import sturmdual
+from sturmdual.checks import CheckResult
 from sturmdual.cli import (
+    VERIFY_SUITES,
     AnalysisReport,
     build_parser,
     build_report,
@@ -141,19 +145,46 @@ def test_enumerate_selfdual_includes_rho():
     assert "a->aba,b->ab" in out
 
 
+SUITES = (
+    "complexity", "power-hull", "conjugacy-matrix", "rigidity", "dual-contravariance",
+    "window-stability", "strand-connectivity", "dual-frequency", "reciprocal-dual",
+    "selfdual-forms", "palindrome", "cf-dual", "star-relation", "cut-project",
+)
+
+
 def test_verify_suites_smoke():
-    for suite, extra in [
-        ("power-hull", ["--max-len", "3"]),
-        ("dual-frequency", ["--max-len", "4"]),
-        ("palindrome", ["--max-len", "4"]),
-        ("star-relation", ["--max-len", "4"]),
-        ("dual-contravariance", ["--count", "20"]),
-    ]:
-        code, out, _ = run_cli("verify", suite, *extra)
-        assert code == 0
-        assert "PASS" in out
+    assert sorted(VERIFY_SUITES) == sorted(SUITES)
+    for suite in SUITES:
+        code, out, _ = run_cli("verify", suite, "--max-len", "4", "--count", "20")
+        assert (code, out.split(" - ")[0]) == (0, f"{suite}: PASS")
     code, _, err = run_cli("verify", "no-such-suite")
     assert code == 1
+
+
+def test_verify_fail_exits_1(monkeypatch):
+    failing = CheckResult(False, 1, "planted failure")
+    monkeypatch.setitem(VERIFY_SUITES, "palindrome", lambda args: failing)
+    code, out, _ = run_cli("verify", "palindrome")
+    assert code == 1
+    assert out == "palindrome: FAIL - planted failure\n"
+
+
+def test_verify_certifies_under_optimize():
+    # a broken matrix-shape test must not pass silently when asserts are off
+    script = (
+        "import sys\n"
+        "from sturmdual import cli, invert\n"
+        "invert.matrix_selfdual_form = lambda m: None\n"
+        "sys.exit(cli.main(['verify', 'selfdual-forms', '--max-len', '4']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(sturmdual.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_render_byte_stable_and_counts():
