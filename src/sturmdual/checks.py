@@ -65,11 +65,11 @@ def complexity(corpus, length: int = 30) -> CheckResult:
     return result
 
 
-def power_hull(corpus, length: int = 12, powers=(2, 3)) -> CheckResult:
-    """The powers of a primitive member have its factor sets up to length."""
+def power_hull(corpus) -> CheckResult:
+    """The squares and cubes of a primitive member have its factor sets up to length 12."""
     return _for_all(
         _primitive(corpus),
-        lambda s: all(hulls_equal_upto(s, s.power(n), length) for n in powers),
+        lambda s: all(hulls_equal_upto(s, s.power(n), 12) for n in (2, 3)),
         "a power of {} changed the factor sets", "factor sets are power-invariant",
     )
 
@@ -152,14 +152,14 @@ def dual_contravariance(corpus, seed: int = 73, count: int = 100) -> CheckResult
     return CheckResult(True, count, f"{count} random composite images agree")
 
 
-def window_stability(corpus, radius: int = 10) -> CheckResult:
+def window_stability(corpus) -> CheckResult:
     """E1* of a primitive unimodular member maps the stepped-line segments
-    with keys in [-radius, radius] into the stepped line, none twice."""
+    with keys in [-10, 10] into the stepped line, none twice."""
     members = _primitive(corpus, Substitution.is_unimodular)
     for checked, sigma in enumerate(members, 1):
         spec = spectral(sigma.matrix())
         union: dict = {}
-        for seg in dualmap.s_alpha_segments(spec, radius):
+        for seg in dualmap.s_alpha_segments(spec, 10):
             image = dualmap.e1_star_apply(sigma, dualmap.StrandSum([seg]))
             for out_seg, mult in image.items():
                 if not dualmap.in_s_alpha(out_seg, spec):
@@ -247,10 +247,10 @@ def star_relation(corpus) -> CheckResult:
     )
 
 
-def cut_project(corpus, phys_range=(0, 30)) -> CheckResult:
-    """Fixed-point patch vertices in the range equal the model set (det +1)."""
+def cut_project(corpus) -> CheckResult:
+    """Fixed-point patch vertices in [0, 30] equal the model set (det +1)."""
     return _for_all(
-        _primitive(corpus, _det_one), lambda s: verify_cut_project_covering(s, phys_range),
+        _primitive(corpus, _det_one), lambda s: verify_cut_project_covering(s, (0, 30)),
         "vertex set differs from the model set for {}",
         "patch vertices equal the projected lattice points",
     )

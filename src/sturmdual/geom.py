@@ -306,7 +306,7 @@ def rauzy_decomposition(sigma: Substitution, depth: int = 9) -> RauzyDecompositi
                 f"prefix valuation escapes the solved window of {sigma}"
             )
     if max(lo["a"], lo["b"]) > min(hi["a"], hi["b"]):
-        raise NonIntervalWindowError(f"the two windows of {sigma} do not meet")
+        raise SturmdualError(f"the two windows of {sigma} do not meet")
     return RauzyDecomposition(
         r_a=(lo["a"], hi["a"]), r_b=(lo["b"], hi["b"]), depth=depth
     )

@@ -117,7 +117,7 @@ def test_acceptance_09_dual_map_structure(corpus8, corpus8_primitive):
     pool = [s for s in corpus8 if len(s.img_a + s.img_b) <= 12]
     results = [
         checks.dual_contravariance(pool, seed=20260808, count=100),
-        checks.window_stability(corpus8_primitive, radius=10),
+        checks.window_stability(corpus8_primitive),
         checks.strand_connectivity(
             corpus8_primitive, radius=10, lengths=range(2, 7), step=3
         ),
@@ -133,7 +133,7 @@ def test_acceptance_09_dual_map_structure(corpus8, corpus8_primitive):
 
 def test_acceptance_10_cut_and_project(corpus8_det1):
     assert verify_cut_project_covering(RHO, (0, 30))
-    result = checks.cut_project(corpus8_det1, (0, 30))
+    result = checks.cut_project(corpus8_det1)
     assert result.ok, result.detail
     report(10, f"patch vertices equal the model sets on {result.checked} members")
 

@@ -184,6 +184,7 @@ def test_verify_certifies_under_optimize():
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("selfdual-forms: FAIL - selfdual class and matrix shape")
     assert "Traceback" not in proc.stderr
 
 
