@@ -197,7 +197,7 @@ def cmd_selfdual(args, out) -> int:
 
 def cmd_rauzy(args, out) -> int:
     sigma = _load_subst(args.spec, args.square)
-    rd = geom.rauzy_decomposition(sigma, depth=args.depth)
+    rd = geom.rauzy_decomposition(sigma)
     payload = {
         "R_a": {"lo": format_quad(rd.r_a[0]), "hi": format_quad(rd.r_a[1])},
         "R_b": {"lo": format_quad(rd.r_b[0]), "hi": format_quad(rd.r_b[1])},
@@ -512,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rauzy", help="window decomposition")
     _add_spec(p)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--depth", type=int, default=9)
     p.set_defaults(func=cmd_rauzy)
 
     p = sub.add_parser("tiling", help="subdivision patch")

@@ -21,6 +21,10 @@ from .quadfield import QUAD_ONE, QUAD_ZERO, Quad, spectral
 from .subst import Mat2, Substitution, fixed_point_prefix, letter_fixing_power
 
 _IDX = {"a": 0, "b": 1}
+# rounds of the interval iteration before its endpoints must have stabilized
+_IFS_ROUNDS = 96
+# letters of the fixed point whose prefix valuations are checked against a window
+_PREFIX_SAMPLE = 2**9
 
 
 def _as_quad(x) -> Quad:
@@ -141,7 +145,7 @@ def _solve_selected(sel, ratio: Quad) -> dict[str, Quad]:
     return {"a": xa, "b": xb}
 
 
-def solve_interval_ifs(maps, ratio: Quad, max_rounds: int = 96):
+def solve_interval_ifs(maps, ratio: Quad):
     """Exact interval attractor of x_t = union of ratio*x_s + c.
 
     maps: {"a": [(source, offset), ...], "b": [...]} with Quad offsets
@@ -158,7 +162,7 @@ def solve_interval_ifs(maps, ratio: Quad, max_rounds: int = 96):
     lo = {t: QUAD_ZERO for t in "ab"}
     hi = {t: QUAD_ZERO for t in "ab"}
     solved = None
-    for rnd in range(max_rounds):
+    for rnd in range(_IFS_ROUNDS):
         lo = {t: min(ratio * lo[s] + c for s, c in maps[t]) for t in "ab"}
         hi = {t: max(ratio * hi[s] + c for s, c in maps[t]) for t in "ab"}
         if rnd < 4 or rnd % 4 != 0:
@@ -258,18 +262,17 @@ class RauzyDecomposition:
 
     r_a: tuple[Quad, Quad]
     r_b: tuple[Quad, Quad]
-    depth: int
 
     def window(self) -> tuple[Quad, Quad]:
         return (min(self.r_a[0], self.r_b[0]), max(self.r_a[1], self.r_b[1]))
 
 
-def rauzy_decomposition(sigma: Substitution, depth: int = 9) -> RauzyDecomposition:
+def rauzy_decomposition(sigma: Substitution) -> RauzyDecomposition:
     """Exact window intervals from the conjugate valuation of prefixes.
 
     The endpoints solve the interval set equation exactly (they are
     strict limits of prefix valuations, so sampling alone cannot attain
-    them); a depth-controlled prefix sample is checked for containment.
+    them); a prefix sample of the fixed point is checked for containment.
     """
     if not sigma.is_primitive():
         raise SturmdualError(f"{sigma} is not primitive")
@@ -295,8 +298,7 @@ def rauzy_decomposition(sigma: Substitution, depth: int = 9) -> RauzyDecompositi
         ) from exc
 
     # cross-check: prefix valuations land inside the solved windows
-    sample_len = min(2 ** max(depth, 3), 2**16)
-    prefix = fixed_point_prefix(sigma, sample_len)
+    prefix = fixed_point_prefix(sigma, _PREFIX_SAMPLE)
     value = QUAD_ZERO
     for m in range(1, len(prefix)):
         value = value + (QUAD_ONE if prefix[m - 1] == "a" else spec.ell_conj)
@@ -307,9 +309,7 @@ def rauzy_decomposition(sigma: Substitution, depth: int = 9) -> RauzyDecompositi
             )
     if max(lo["a"], lo["b"]) > min(hi["a"], hi["b"]):
         raise SturmdualError(f"the two windows of {sigma} do not meet")
-    return RauzyDecomposition(
-        r_a=(lo["a"], hi["a"]), r_b=(lo["b"], hi["b"]), depth=depth
-    )
+    return RauzyDecomposition(r_a=(lo["a"], hi["a"]), r_b=(lo["b"], hi["b"]))
 
 
 def e_matrix(sigma: Substitution) -> DigitMatrix:

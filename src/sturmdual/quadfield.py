@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isfinite, isqrt, lcm
 
 from .errors import DeterminantMinusOneError, SturmdualError
 
@@ -226,6 +226,15 @@ class Quad:
 
     # -- field automorphism, floor, conversions ---------------------------
 
+    def _over_one_denominator(self) -> tuple[int, int, int]:
+        """Integers (a, b, n) with n > 0 and self == (a + b*sqrt(d)) / n."""
+        n = lcm(self.p.denominator, self.q.denominator)
+        return (
+            self.p.numerator * (n // self.p.denominator),
+            self.q.numerator * (n // self.q.denominator),
+            n,
+        )
+
     def star(self) -> "Quad":
         """Algebraic conjugation p + q*sqrt(d) -> p - q*sqrt(d)."""
         return Quad(self.p, -self.q, self.d)
@@ -233,18 +242,21 @@ class Quad:
     def floor(self) -> int:
         if self.q == 0:
             return self.p.numerator // self.p.denominator
-        n = int(float(self))
-        while self._cmp(n) < 0:
-            n -= 1
-        while self._cmp(n + 1) >= 0:
-            n += 1
-        return n
+        a, b, n = self._over_one_denominator()
+        root = isqrt(b * b * self.d)  # b*b*d is never a square
+        return (a + root) // n if b > 0 else (a - root - 1) // n
 
     def ceil(self) -> int:
         return -(-self).floor()
 
     def __float__(self) -> float:
-        return float(self.p) + float(self.q) * (self.d**0.5)
+        try:
+            value = float(self.p) + float(self.q) * (self.d**0.5)
+            if isfinite(value):
+                return value
+        except OverflowError:
+            pass
+        raise SturmdualError("value too large to convert to a float")
 
     def __repr__(self):
         return f"Quad({self!s})"
@@ -521,11 +533,7 @@ def cf_expand(x: Quad) -> CF:
         return CF(tuple(quotients), ())
 
     # write x = (P + sqrt(N)) / Q with integers, Q | (N - P^2)
-    common = (x.p.denominator * x.q.denominator) // gcd(
-        x.p.denominator, x.q.denominator
-    )
-    a_int = int(x.p * common)
-    b_int = int(x.q * common)
+    a_int, b_int, common = x._over_one_denominator()
     n = b_int * b_int * x.d
     if b_int > 0:
         pcur, qcur = a_int, common
@@ -573,16 +581,13 @@ def cf_value(c: CF, radicand: int | None = None) -> Quad:
             parts = squarefree_decompose(disc)
         s, d = parts
         root = Quad(s) if d in (0, 1) else Quad(0, s, d)
-        y = (Quad(h1 - k0) + root) / (2 * k1)
-        value = y
+        value = (Quad(h1 - k0) + root) / (2 * k1)
+        head = c.preperiod
     else:
-        value = None
-    for a in reversed(c.preperiod):
-        if value is None:
-            value = Quad(a)
-        else:
-            value = Quad(a) + QUAD_ONE / value
-    assert value is not None
+        value = Quad(c.preperiod[-1])
+        head = c.preperiod[:-1]
+    for a in reversed(head):
+        value = Quad(a) + QUAD_ONE / value
     return value
 
 

@@ -248,57 +248,42 @@ def fixed_point_prefix(sigma: Substitution, n: int) -> str:
     return prefix
 
 
-def factor_language(sigma: Substitution, max_len: int) -> set[str]:
-    """All words of length <= max_len occurring in some iterated letter image.
+def factor_set(sigma: Substitution, n: int) -> set[str]:
+    """All length-n factors of the substitution language.
 
-    Levels sigma^k(a), sigma^k(b) are scanned until both images are at
-    least twice max_len long (their factor sets only grow with k), then
-    the collection is completed to closure: the images of all top-length
-    members may not contribute new factors.
+    The length-n windows of sigma^k(a) and sigma^k(b), for the first k
+    at which both are at least 2n long, are closed under sigma: the
+    windows of each member's image join the set until none is new.
     """
-    if max_len < 1:
+    if n < 1:
         return set()
     if not sigma.is_primitive():
         raise SturmdualError("factor language requires a primitive substitution")
-    found: set[str] = set()
     wa, wb = "a", "b"
-    guard = 2 * max_len
-    for _ in range(64):
-        for w in (wa, wb):
-            _collect_factors(w, max_len, found)
-        if min(len(wa), len(wb)) >= guard:
-            break
+    # ends, since the iterates of a primitive substitution grow
+    while min(len(wa), len(wb)) < 2 * n:
         wa, wb = sigma.apply_positive(wa), sigma.apply_positive(wb)
-    else:
-        raise SturmdualError("factor language did not reach its length guard")
-    # closure over images of the longest factors
-    pending = sorted(w for w in found if len(w) == max_len)
-    processed: set[str] = set()
+    found = {w[i : i + n] for w in (wa, wb) for i in range(len(w) - n + 1)}
+    pending = list(found)
     while pending:
-        w = pending.pop()
-        if w in processed:
-            continue
-        processed.add(w)
-        fresh: set[str] = set()
-        _collect_factors(sigma.apply_positive(w), max_len, found, fresh)
-        pending.extend(x for x in fresh if len(x) == max_len)
+        image = sigma.apply_positive(pending.pop())
+        for i in range(len(image) - n + 1):
+            window = image[i : i + n]
+            if window not in found:
+                found.add(window)
+                pending.append(window)
     return found
 
 
-def _collect_factors(word: str, max_len: int, into: set[str], fresh=None):
-    n = len(word)
-    for length in range(1, min(max_len, n) + 1):
-        for i in range(n - length + 1):
-            piece = word[i : i + length]
-            if piece not in into:
-                into.add(piece)
-                if fresh is not None:
-                    fresh.add(piece)
+def factor_language(sigma: Substitution, max_len: int) -> set[str]:
+    """All factors of length <= max_len of the substitution language.
 
-
-def factor_set(sigma: Substitution, n: int) -> set[str]:
-    """All length-n factors of the substitution language."""
-    return {w for w in factor_language(sigma, n) if len(w) == n}
+    The language of a primitive substitution is right-extendable, so
+    these are exactly the prefixes of its length-max_len factors.
+    """
+    return {
+        w[:m] for w in factor_set(sigma, max_len) for m in range(1, max_len + 1)
+    }
 
 
 def complexity_profile(sigma: Substitution, max_len: int) -> list[int]:
@@ -319,8 +304,10 @@ def hulls_equal_upto(sigma: Substitution, rho: Substitution, max_len: int) -> bo
     """Finite certificate: equal factor sets at every length <= max_len.
 
     A necessary condition for equal hulls; conclusive as a refutation.
+    Shorter factors are prefixes of length-max_len ones, so comparing
+    the top length suffices.
     """
-    return factor_language(sigma, max_len) == factor_language(rho, max_len)
+    return factor_set(sigma, max_len) == factor_set(rho, max_len)
 
 
 def conjugate_power_search(

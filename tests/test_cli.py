@@ -124,6 +124,14 @@ def test_cutproject_and_sturmian_and_cf():
     assert "selfdual_frequency True" in out
 
 
+def test_cutproject_beyond_float_range_is_a_domain_error():
+    lo, hi = str(10**400), str(10**400 + 5)
+    code, _, err = run_cli("cutproject", "a->aba,b->ab", "--range", lo, hi)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_enumerate_deterministic_and_counts():
     first = run_cli("enumerate", "--max-len", "3")
     second = run_cli("enumerate", "--max-len", "3")

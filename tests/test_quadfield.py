@@ -1,10 +1,15 @@
+import contextlib
+import io
 import math
 import random
 from fractions import Fraction as F
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 import pytest
+import sympy
+from sympy.ntheory import continued_fraction_periodic
 
+from sturmdual.cli import main
 from sturmdual.errors import DeterminantMinusOneError, SturmdualError
 from sturmdual.quadfield import (
     CF,
@@ -59,12 +64,60 @@ def test_floor_examples():
     assert Quad(n) <= x < Quad(n + 1)
     assert Quad(F(-3, 2), F(-1, 2), 5).floor() == -3
     assert Quad(F(7, 3)).floor() == 2
+    # far beyond float precision
+    assert Quad(10**25, 1, 2).floor() == 10**25 + 1
+    assert Quad(-(10**25), -1, 2).floor() == -(10**25) - 2
+    assert Quad(F(10**40 + 1, 3), F(-7, 3), 5).floor() == (10**40 - 15) // 3
 
 
 @given(quads)
 def test_floor_bracket_property(x):
     n = x.floor()
     assert Quad(n) <= x < Quad(n + 1)
+
+
+def test_cf_command_on_a_large_surd():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["cf", "10000000000000000000000000000000000000000+sqrt(2)"])
+    assert code == 0
+    assert out.getvalue() == "[10000000000000000000000000000000000000001; (2)]\n"
+
+
+# small values too, so that the floor often lands next to an integer
+numerators = st.integers(-(10**30), 10**30) | st.integers(-50, 50)
+denominators = st.integers(1, 10**30) | st.integers(1, 4)
+big_surds = st.tuples(numerators, denominators, numerators, denominators, st.integers(2, 1000))
+
+
+@settings(deadline=None)
+@given(big_surds)
+def test_floor_and_sign_match_sympy(parts):
+    pn, pd, qn, qd, d = parts
+    x = Quad(F(pn, pd), F(qn, qd), d)
+    exact = sympy.Rational(pn, pd) + sympy.Rational(qn, qd) * sympy.sqrt(d)
+    assert x.floor() == sympy.floor(exact)
+    assert x.sign() == sympy.sign(exact)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(-30, 30),
+    st.integers(1, 30).flatmap(lambda q: st.sampled_from([q, -q])),
+    st.integers(2, 200).filter(lambda d: math.isqrt(d) ** 2 != d),
+)
+def test_cf_expand_matches_sympy(p, q, d):
+    # (p + sqrt(d)) / q against sympy's periodic expansion, both ways
+    x = Quad(F(p, q), F(1, q), d)
+    ours = cf_expand(x)
+    *pre, per = continued_fraction_periodic(p, q, d)
+    pre, per = tuple(map(int, pre)), tuple(map(int, per))
+    assert cf_value(CF(pre, per), radicand=x.d) == x
+    count = max(len(pre), len(ours.preperiod)) + math.lcm(len(per), len(ours.period))
+    theirs = list(pre)
+    while len(theirs) < count:
+        theirs.extend(per)
+    assert ours.quotients(count) == theirs[:count]
 
 
 @given(quads, quads)

@@ -94,10 +94,13 @@ def test_factor_set_examples():
 
 def test_factor_set_matches_fixed_point_factors():
     # the closure agrees with a brute-force census of the fixed point
-    for sigma in (RHO, FIB, Substitution("ab", "abb")):
+    thue_morse = Substitution("ab", "ba")
+    for sigma in (RHO, FIB, Substitution("ab", "abb"), thue_morse, KRIEGER):
         prefix = fixed_point_prefix(sigma, 4000)
         for n in (3, 8, 12):
             assert factor_set(sigma, n) == brute_factors(prefix, n)
+            census = set().union(*(brute_factors(prefix, m) for m in range(1, n + 1)))
+            assert factor_language(sigma, n) == census
 
 
 def test_complexity_profile():
