@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from . import words
 from .errors import DeterminantMinusOneError, NotInvertibleError, SturmdualError
-from .subst import FreeEndo, Mat2, Substitution
+from .subst import IDENTITY, FreeEndo, Mat2, Substitution
 
 # the generating set of the monoid of invertible positive morphisms:
 # E swaps the letters, L prepends a to b, LT appends a to b
@@ -239,22 +239,23 @@ def generator_products(max_len: int):
     """All distinct substitutions from generator words of length <= max_len.
 
     Yields (names, substitution) deduplicated by letter images, ordered
-    by word length then lexicographically in (E, L, Lt).
+    by word length then lexicographically in (E, L, Lt): each image pair
+    appears once, under the first word that produces it.  Only those
+    first words are extended, which loses nothing: if w and an earlier
+    word w' give the same substitution, then so do w.g and the earlier
+    w'.g, so no extension of a repeat is a first occurrence.
     """
-    seen: set[tuple[str, str]] = set()
-    frontier: list[tuple[tuple[str, ...], Substitution]] = [((), Substitution("a", "b"))]
-    key = (Substitution("a", "b").img_a, Substitution("a", "b").img_b)
-    seen.add(key)
-    yield (), Substitution("a", "b")
+    frontier: list[tuple[tuple[str, ...], Substitution]] = [((), IDENTITY)]
+    seen = {(IDENTITY.img_a, IDENTITY.img_b)}
+    yield frontier[0]
     for _ in range(max_len):
         nxt: list[tuple[tuple[str, ...], Substitution]] = []
         for names, sub in frontier:
             for gname in GENERATOR_ORDER:
-                ext = names + (gname,)
                 comp = sub.compose(GENERATORS[gname])
-                nxt.append((ext, comp))
                 k = (comp.img_a, comp.img_b)
                 if k not in seen:
                     seen.add(k)
-                    yield ext, comp
+                    nxt.append((names + (gname,), comp))
+                    yield nxt[-1]
         frontier = nxt

@@ -453,12 +453,16 @@ class CF:
 
 
 def format_cf(c: CF) -> str:
-    head = c.preperiod
+    """``[a0; a1, (p1, p2)]``; a purely periodic ``(p0, .., pk)`` prints
+    as ``[p0; (p1, .., pk, p0)]``, which parse_cf reads back."""
+    head, period = c.preperiod, c.period
+    if not head:
+        head, period = period[:1], period[1:] + period[:1]
     parts = []
     if len(head) > 1:
         parts.append(", ".join(str(a) for a in head[1:]))
-    if c.period:
-        parts.append("(" + ", ".join(str(a) for a in c.period) + ")")
+    if period:
+        parts.append("(" + ", ".join(str(a) for a in period) + ")")
     tail = ", ".join(parts)
     return f"[{head[0]}; {tail}]" if tail else f"[{head[0]}]"
 
@@ -507,7 +511,7 @@ def normalize_cf(
                 per = per[:div]
                 break
         # pull equal trailing quotients out of the preperiod
-        while len(pre) > 1 and pre[-1] == per[-1]:
+        while pre and pre[-1] == per[-1]:
             pre.pop()
             per = [per[-1]] + per[:-1]
     return CF(tuple(pre), tuple(per), value_hint)
@@ -671,7 +675,7 @@ def is_selfdual_frequency(c: CF) -> bool:
     True iff the quotient stream reads [0; 1+n1, (n2..nk, n1)] or
     [0; 1, (n1..nk)] with n1..nk a palindrome.
     """
-    if not c.period or c.preperiod[0] != 0:
+    if not c.period or c.quotients(1) != [0]:
         return False
     if len(c.preperiod) > 2:
         return False

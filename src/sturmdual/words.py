@@ -15,10 +15,12 @@ SIGNED_LETTERS = "abAB"
 
 _SWAP = str.maketrans("abAB", "baBA")
 _FLIP_A = str.maketrans("aA", "Aa")
+_DROP_LETTERS = str.maketrans("", "", LETTERS)
 
 
 def is_positive(word: str) -> bool:
-    return all(c in LETTERS for c in word)
+    """Every letter is a or b (the empty word included)."""
+    return not word.translate(_DROP_LETTERS)
 
 
 def is_reduced(word: str) -> bool:
@@ -28,10 +30,11 @@ def is_reduced(word: str) -> bool:
 
 
 def check_positive(word: str) -> str:
-    for i, c in enumerate(word):
-        if c not in LETTERS:
-            raise ParseError(f"not a positive word: {word!r}", i)
-    return word
+    if is_positive(word):
+        return word
+    # the slow scan only locates the first offending letter
+    i = next(i for i, c in enumerate(word) if c not in LETTERS)
+    raise ParseError(f"not a positive word: {word!r}", i)
 
 
 def check_reduced(word: str) -> str:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -122,6 +123,22 @@ def test_cutproject_and_sturmian_and_cf():
     assert out == "[0; 1, 1, (2)]\n"
     code, out, _ = run_cli("cf", "3/2-1/2*sqrt(5)", "--test-selfdual")
     assert "selfdual_frequency True" in out
+    # purely periodic expansions (empty preperiod)
+    assert run_cli("cf", "1+sqrt(2)") == (0, "[2; (2)]\n", "")
+    assert run_cli("cf", "1/2+1/2*sqrt(5)") == (0, "[1; (1)]\n", "")
+
+
+def _package_env():
+    src = os.path.dirname(os.path.dirname(sturmdual.__file__))
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "sturmdual", "cf", "1+sqrt(2)"],
+        env=_package_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[2; (2)]\n", "")
 
 
 def test_cutproject_beyond_float_range_is_a_domain_error():
@@ -160,13 +177,30 @@ SUITES = (
 )
 
 
+VERIFY_LINE = re.compile(r"^([a-z-]+): (PASS|FAIL) - (.*) \[(\d+) checked in \d+\.\d s\]$")
+
+
 def test_verify_suites_smoke():
     assert sorted(VERIFY_SUITES) == sorted(SUITES)
-    for suite in SUITES:
-        code, out, _ = run_cli("verify", suite, "--max-len", "4", "--count", "20")
-        assert (code, out.split(" - ")[0]) == (0, f"{suite}: PASS")
+    code, out, _ = run_cli("verify", "all", "--max-len", "4", "--count", "20")
+    lines = [VERIFY_LINE.match(line) for line in out.splitlines()]
+    assert code == 0 and all(lines), out
+    # every suite in table order, each passing with something checked
+    assert [m.group(1) for m in lines] == list(VERIFY_SUITES)
+    assert all(m.group(2) == "PASS" and int(m.group(4)) > 0 for m in lines), out
     code, _, err = run_cli("verify", "no-such-suite")
     assert code == 1
+    # an empty or oversized corpus is refused, not reported as PASS
+    for argv in (
+        ("complexity", "--max-len", "0"),
+        ("selfdual-forms", "--max-len", "-3"),
+        ("all", "--max-len", "11"),
+        ("dual-contravariance", "--count", "0"),
+        ("complexity", "--length", "-1"),
+    ):
+        code, out, err = run_cli("verify", *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:"), argv
 
 
 def test_verify_fail_exits_1(monkeypatch):
@@ -174,7 +208,21 @@ def test_verify_fail_exits_1(monkeypatch):
     monkeypatch.setitem(VERIFY_SUITES, "palindrome", lambda args: failing)
     code, out, _ = run_cli("verify", "palindrome")
     assert code == 1
-    assert out == "palindrome: FAIL - planted failure\n"
+    assert VERIFY_LINE.match(out.rstrip("\n")).groups() == (
+        "palindrome", "FAIL", "planted failure", "1"
+    )
+    # verify all still runs every suite after the failure, then exits 1
+    passing = CheckResult(True, 2, "planted pass")
+    for suite in VERIFY_SUITES:
+        if suite != "palindrome":
+            monkeypatch.setitem(VERIFY_SUITES, suite, lambda args: passing)
+    code, out, _ = run_cli("verify", "all")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == list(VERIFY_SUITES)
+    assert [line for line in lines if ": FAIL - " in line] == [
+        "palindrome: FAIL - planted failure [1 checked in 0.0 s]"
+    ]
 
 
 def test_verify_certifies_under_optimize():
@@ -185,11 +233,9 @@ def test_verify_certifies_under_optimize():
         "invert.matrix_selfdual_form = lambda m: None\n"
         "sys.exit(cli.main(['verify', 'selfdual-forms', '--max-len', '4']))\n"
     )
-    src = os.path.dirname(os.path.dirname(sturmdual.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=_package_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stdout.startswith("selfdual-forms: FAIL - selfdual class and matrix shape")

@@ -4,6 +4,8 @@ from conftest import FIB, KRIEGER, RHO, SIG_UNCHANGED
 from sturmdual import words
 from sturmdual.errors import DeterminantMinusOneError, NotInvertibleError
 from sturmdual.invert import (
+    GENERATOR_ORDER,
+    GENERATORS,
     GEN_E,
     GEN_L,
     GEN_LT,
@@ -185,3 +187,24 @@ def test_generator_products_deterministic_order():
     assert lengths == sorted(lengths)
     # 26 distinct substitutions arise from words of length <= 3 (plus identity)
     assert len(first) == 27
+
+
+def test_generator_products_match_brute_force():
+    # walk all 3^n words; keep the first word (by length, then E < L < Lt)
+    # of each image pair
+    reference, seen = [], set()
+    level = [((), Substitution("a", "b"))]
+    for _ in range(9):
+        for names, sub in level:
+            if (sub.img_a, sub.img_b) not in seen:
+                seen.add((sub.img_a, sub.img_b))
+                reference.append((names, sub.img_a, sub.img_b))
+        level = [
+            (names + (g,), sub.compose(GENERATORS[g]))
+            for names, sub in level
+            for g in GENERATOR_ORDER
+        ]
+    for n in range(9):
+        got = [(names, s.img_a, s.img_b) for names, s in generator_products(n)]
+        assert got == [r for r in reference if len(r[0]) <= n]
+    assert len(reference) == 1512

@@ -219,16 +219,34 @@ def test_cf_roundtrip_random_surds():
             F(rng.randint(1, 9), rng.randint(1, 7)),
             rng.choice([2, 3, 5, 6, 7, 10]),
         )
-        assert cf_value(cf_expand(x)) == x
+        c = cf_expand(x)
+        assert cf_value(c) == x
+        assert parse_cf(format_cf(c)) == c
 
 
 def test_cf_canonical_form():
     # periodic part reduced to its primitive root, preperiod pulled back
     assert normalize_cf((0, 2), (1, 1)) == CF((0, 2), (1,))
     assert normalize_cf((0, 1, 2), (1, 2)) == CF((0,), (1, 2))
+    assert normalize_cf((1, 3), (2, 1, 3)) == CF((), (1, 3, 2))
     assert parse_cf("[0; 2, (1)]") == CF((0, 2), (1,))
     assert format_cf(CF((0, 2), (1,))) == "[0; 2, (1)]"
     assert format_cf(CF((2, 3), ())) == "[2; 3]"
+
+
+@pytest.mark.parametrize(
+    "text, printed",
+    [("1+sqrt(2)", "[2; (2)]"), ("1/2+1/2*sqrt(5)", "[1; (1)]"), ("2+sqrt(7)", "[4; (1, 1, 1, 4)]")],
+)
+def test_purely_periodic_expansion_prints_and_parses_back(text, printed):
+    x = parse_quad(text)
+    c = cf_expand(x)
+    assert c.preperiod == ()  # x > 1 with its conjugate in (-1, 0)
+    assert str(c) == format_cf(c) == printed
+    again = parse_cf(printed)
+    assert again == c
+    assert cf_value(again) == x
+    assert not is_selfdual_frequency(c)
 
 
 def test_dual_frequency_examples():

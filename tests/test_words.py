@@ -92,3 +92,15 @@ def test_check_positive():
     with pytest.raises(ParseError):
         words.check_positive("aBa")
     assert words.check_positive("abba") == "abba"
+
+
+@given(st.text(alphabet="abAB x", max_size=24))
+def test_positivity_matches_the_letterwise_definition(word):
+    bad = [i for i, c in enumerate(word) if c not in "ab"]
+    assert words.is_positive(word) == (not bad)
+    if bad:
+        with pytest.raises(ParseError) as info:
+            words.check_positive(word)
+        assert info.value.position == bad[0]
+    else:
+        assert words.check_positive(word) == word
