@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import dualmap, geom, invert
 from .quadfield import cf_dual_transform, cf_expand, cf_value, dual_frequency_value
 from .quadfield import is_selfdual_frequency, spectral
-from .subst import Substitution, conjugate_power_search, hulls_equal_upto
+from .subst import Substitution, hulls_equal_upto
 from .subst import is_sturmian_language
 
 # equal factor sets (hulls) without conjugate powers; the first is not invertible
@@ -110,13 +110,13 @@ def rigidity(corpus, twists: int = 40) -> CheckResult:
     sigma, rho = KRIEGER_PAIR
     if not hulls_equal_upto(sigma, rho, 50):
         return CheckResult(False, 0, "equal-hull example has distinct factor sets")
-    if conjugate_power_search(sigma, rho, 6) is not None:
+    if invert.conjugate_power_search(sigma, rho, 6) is not None:
         return CheckResult(False, 0, "equal-hull example unexpectedly conjugate up to powers")
 
     def holds(sub):
         x = sub.img_a[0]
         twisted = Substitution(sub.img_a[1:] + x, sub.img_b[1:] + x)
-        return conjugate_power_search(sub, twisted, 1) == (1, 1, x)
+        return invert.conjugate_power_search(sub, twisted, 1) == (1, 1, x)
 
     return _for_all(
         [s for s in _primitive(corpus) if s.img_a[0] == s.img_b[0]][:twists], holds,

@@ -25,12 +25,19 @@ from .quadfield import (
     parse_quad,
     spectral,
 )
-from .subst import Substitution, parse_substitution
+from .subst import Mat2, Substitution, parse_substitution
 
 SCHEMA_VERSION = 1
 # cap on the generator word length of enumerate and verify: the corpus
 # grows about 2.1x per length (6974 substitutions up to length 10)
 MAX_GENERATOR_LEN = 10
+# caps on the tiles and strand segments of all levels that tiling and
+# render build; both grow by the inflation factor per level
+MAX_PATCH_TILES = 50000
+MAX_STRAND_SEGMENTS = 200000
+# cap on the width of a cutproject range: the lattice points tested grow
+# with its square
+MAX_CUTPROJECT_WIDTH = 200
 
 def _exact(x: Quad) -> dict:
     return {"exact": format_quad(x), "approx": round(float(x), 12)}
@@ -105,30 +112,12 @@ def _print_report(report: AnalysisReport, as_json: bool, out):
     if as_json:
         out.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
         return
-    d = report.to_json_dict()
-    order = [
-        "substitution",
-        "matrix",
-        "det",
-        "primitive",
-        "invertible",
-        "decomposition",
-        "lambda",
-        "alpha",
-        "alpha_conj",
-        "alpha_star",
-        "cf_alpha",
-        "selfdual_class",
-        "witness",
-        "note",
-    ]
-    for key in order:
-        value = d.get(key)
+    for key, value in asdict(report).items():
         if value is None:
             continue
         if isinstance(value, dict):
             value = f"{value['exact']}  (~{value['approx']})"
-        out.write(f"{key:<15} {value}\n")
+        out.write(f"{'lambda' if key == 'lam' else key:<15} {value}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +128,19 @@ def _print_report(report: AnalysisReport, as_json: bool, out):
 def _load_subst(text: str, square: bool = False) -> Substitution:
     sigma = parse_substitution(text)
     return sigma.power(2) if square else sigma
+
+
+def _check_levels(m: Mat2, option: str, levels: int, cap: int, pieces: str) -> None:
+    """Refuse levels 0..levels grown from one letter a when they hold more
+    than cap pieces in all: level k holds the first column sum of m^k."""
+    if levels < 0:
+        raise SturmdualError(f"{option} {levels} is negative")
+    vec, total = (1, 0), 0
+    for _ in range(levels + 1):
+        total += vec[0] + vec[1]
+        if total > cap:
+            raise SturmdualError(f"{option} {levels} builds more than the cap of {cap} {pieces}")
+        vec = m.apply(vec)
 
 
 def cmd_analyze(args, out) -> int:
@@ -220,6 +222,7 @@ def cmd_rauzy(args, out) -> int:
 def cmd_tiling(args, out) -> int:
     sigma = _load_subst(args.spec, args.square)
     t = geom.tile_subst_from(sigma)
+    _check_levels(sigma.matrix(), "--depth", args.depth, MAX_PATCH_TILES, "tiles")
     patch = geom.iterate_patch(t, "a", args.depth)
     items = []
     for letter, left in patch:
@@ -259,6 +262,8 @@ def cmd_stardual(args, out) -> int:
 def cmd_cutproject(args, out) -> int:
     sigma = _load_subst(args.spec, args.square)
     lo, hi = parse_quad(args.range[0]), parse_quad(args.range[1])
+    if hi - lo > MAX_CUTPROJECT_WIDTH:
+        raise SturmdualError(f"--range width {hi - lo} exceeds the cap {MAX_CUTPROJECT_WIDTH}")
     points = geom.cut_project_points(
         geom.lattice_for(sigma),
         geom.rauzy_decomposition(sigma).window(),
@@ -294,10 +299,8 @@ def cmd_cf(args, out) -> int:
 
 
 def cmd_enumerate(args, out) -> int:
-    if args.max_len > args.cap:
-        raise SturmdualError(
-            f"generator length {args.max_len} exceeds the cap {args.cap}"
-        )
+    if args.max_len > MAX_GENERATOR_LEN:
+        raise SturmdualError(f"generator length {args.max_len} exceeds the cap {MAX_GENERATOR_LEN}")
     count = 0
     for names, sigma in invert.generator_products(args.max_len):
         if not names:
@@ -358,6 +361,8 @@ def _run_suite(suite: str, args, out) -> bool:
     start = perf_counter()
     result = VERIFY_SUITES[suite](args)
     elapsed = perf_counter() - start
+    if result.checked == 0:
+        result = checks.CheckResult(False, 0, f"{suite} checked nothing at --max-len {args.max_len}")
     out.write(
         f"{suite}: {'PASS' if result.ok else 'FAIL'} - {result.detail} "
         f"[{result.checked} checked in {elapsed:.1f} s]\n"
@@ -426,6 +431,8 @@ def render_svg(sigma: Substitution, target: str, iterations: int, scale: float) 
         raise SturmdualError("scale must be positive")
     if target in ("strand", "dual_strand"):
         dual = target == "dual_strand"
+        m = sigma.matrix().transpose() if dual else sigma.matrix()
+        _check_levels(m, "--iterations", iterations, MAX_STRAND_SEGMENTS, "segments")
         s = dualmap.StrandSum.single(0, 0, "a*" if dual else "a")
         for _ in range(iterations):
             s = (dualmap.e1_star_apply if dual else dualmap.e1_apply)(sigma, s)
@@ -434,6 +441,7 @@ def render_svg(sigma: Substitution, target: str, iterations: int, scale: float) 
         return _polyline_svg(pts, scale)
     if target == "tiling":
         t = geom.tile_subst_from(sigma)
+        _check_levels(sigma.matrix(), "--iterations", iterations, MAX_PATCH_TILES, "tiles")
         rows = []
         for level in range(iterations + 1):
             rows.append(geom.iterate_patch(t, "a", level))
@@ -570,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate generator products")
     p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--cap", type=int, default=MAX_GENERATOR_LEN)
     p.add_argument("--primitive", action="store_true")
     p.add_argument("--det", type=int, choices=(1, -1), default=None)
     p.add_argument("--selfdual", action="store_true")

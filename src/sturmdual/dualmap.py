@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotInvertibleError, SturmdualError
+from .invert import is_invertible
 from .quadfield import QUAD_ZERO, Quad, SpectralData
 from .subst import Substitution
 
@@ -240,8 +241,6 @@ def dual_substitution(sigma: Substitution) -> Substitution:
     Defined whenever the images of the two elementary dual segments are
     genuine dual strands; its matrix is the transpose of the input's.
     """
-    from .invert import is_invertible
-
     if not sigma.is_unimodular():
         raise SturmdualError(f"{sigma} is not unimodular")
     images = {}

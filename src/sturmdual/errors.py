@@ -30,9 +30,5 @@ class CoveringError(SturmdualError):
     """Digit sets do not produce an exact non-overlapping interval covering."""
 
 
-class StabilizationError(SturmdualError):
-    """Iterative interval computation did not stabilize within its cap."""
-
-
 class NonIntervalWindowError(SturmdualError):
     """The window decomposition is not a pair of intervals (substitution not invertible)."""

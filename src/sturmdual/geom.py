@@ -7,6 +7,7 @@ membership statement is decided exactly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,15 +15,12 @@ from .errors import (
     CoveringError,
     DeterminantMinusOneError,
     NonIntervalWindowError,
-    StabilizationError,
     SturmdualError,
 )
 from .quadfield import QUAD_ONE, QUAD_ZERO, Quad, spectral
 from .subst import Mat2, Substitution, fixed_point_prefix, letter_fixing_power
 
 _IDX = {"a": 0, "b": 1}
-# rounds of the interval iteration before its endpoints must have stabilized
-_IFS_ROUNDS = 96
 # letters of the fixed point whose prefix valuations are checked against a window
 _PREFIX_SAMPLE = 2**9
 
@@ -152,6 +150,15 @@ def solve_interval_ifs(maps, ratio: Quad):
     and 0 < ratio < 1.  Returns (lo, hi) dicts with exact endpoints and
     verifies that the pieces tile each interval without gaps or
     overlaps; raises CoveringError otherwise.
+
+    The endpoints solve lo_t = min(ratio*lo_s + c) and hi_t =
+    max(ratio*hi_s + c) over the pieces of t, found by policy iteration:
+    start from the first piece of each target, solve the chosen pieces
+    exactly, and switch a target to its best piece only when that piece
+    is strictly better than the target's current value.  Each switch
+    strictly improves the solved values (the ratio is below 1), so no
+    choice of pieces recurs; there are finitely many, so the loop ends,
+    and it ends only at the exact solution of both equations.
     """
     if not (QUAD_ZERO < ratio < QUAD_ONE):
         raise SturmdualError("contraction ratio must lie in (0, 1)")
@@ -159,28 +166,21 @@ def solve_interval_ifs(maps, ratio: Quad):
         if not maps.get(t):
             raise CoveringError(f"no pieces produced for tile {t}")
 
-    lo = {t: QUAD_ZERO for t in "ab"}
-    hi = {t: QUAD_ZERO for t in "ab"}
-    solved = None
-    for rnd in range(_IFS_ROUNDS):
-        lo = {t: min(ratio * lo[s] + c for s, c in maps[t]) for t in "ab"}
-        hi = {t: max(ratio * hi[s] + c for s, c in maps[t]) for t in "ab"}
-        if rnd < 4 or rnd % 4 != 0:
-            continue
-        sel_lo = {t: min(maps[t], key=lambda sc: ratio * lo[sc[0]] + sc[1]) for t in "ab"}
-        sel_hi = {t: max(maps[t], key=lambda sc: ratio * hi[sc[0]] + sc[1]) for t in "ab"}
-        cand_lo = _solve_selected(sel_lo, ratio)
-        cand_hi = _solve_selected(sel_hi, ratio)
-        if all(
-            cand_lo[t] == min(ratio * cand_lo[s] + c for s, c in maps[t])
-            and cand_hi[t] == max(ratio * cand_hi[s] + c for s, c in maps[t])
-            for t in "ab"
-        ):
-            solved = (cand_lo, cand_hi)
-            break
-    if solved is None:
-        raise StabilizationError("interval endpoints did not stabilize")
-    lo, hi = solved
+    def solve(better):
+        sel = {t: maps[t][0] for t in "ab"}
+        while True:
+            x = _solve_selected(sel, ratio)
+            switched = False
+            for t in "ab":
+                value = x[t]
+                for source, c in maps[t]:
+                    candidate = ratio * x[source] + c
+                    if better(candidate, value):
+                        sel[t], value, switched = (source, c), candidate, True
+            if not switched:
+                return x
+
+    lo, hi = solve(operator.lt), solve(operator.gt)
     for t in "ab":
         if not lo[t] < hi[t]:
             raise CoveringError(f"degenerate interval for tile {t}")

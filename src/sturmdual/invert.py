@@ -120,38 +120,62 @@ def reciprocal(sigma: Substitution) -> Substitution:
     return bar
 
 
+def _rotation_walk(sigma: Substitution, target: Substitution, bound: int) -> str | None:
+    """Shortest positive w, of length <= bound, with sigma(x) w = w target(x)."""
+    a, b = sigma.img_a, sigma.img_b
+    goal = (target.img_a, target.img_b)
+    w = ""
+    while (a, b) != goal:
+        if len(w) == bound or a[0] != b[0]:
+            return None
+        x = a[0]
+        a, b, w = a[1:] + x, b[1:] + x, w + x
+    return w
+
+
 def find_conjugator(sigma: Substitution, rho: Substitution) -> str | None:
     """Shortest w with sigma(x) = w rho(x) w^{-1} for both letters.
 
-    A positive witness satisfies sigma(x) w = w rho(x), which makes it a
-    prefix of the periodic word sigma(a) sigma(a) ...; likewise the
-    inverse of a negative witness is a prefix of rho(a) rho(a) ....
-    Candidates from both chains are validated by exact free-group
-    computation, shortest first; mixed-sign witnesses cannot occur
-    between positive morphisms of equal image lengths.
+    A positive w with sigma(x) w = w rho(x) starts with the common first
+    letter of sigma(a) and sigma(b), and the rest of w solves the same
+    equation for sigma with that letter rotated to the end of both
+    images.  Each step of this rotation walk is forced, so a positive
+    witness of length L exists exactly when L steps turn sigma into rho;
+    a negative witness is the inverse of the walk from rho to sigma.
+    Mixed-sign witnesses cannot occur between positive morphisms of
+    equal image lengths.  Each walk stops after 2(|sigma(a)| +
+    |sigma(b)|) steps; the shorter witness wins, the positive on a tie.
     """
     if len(sigma.img_a) != len(rho.img_a) or len(sigma.img_b) != len(rho.img_b):
         return None
-
-    def works(w: str) -> bool:
-        wi = words.invert_word(w)
-        for x in "ab":
-            conj = words.reduce_concat(words.reduce_concat(w, rho.image(x)), wi)
-            if conj != sigma.image(x):
-                return False
-        return True
-
     bound = 2 * (len(sigma.img_a) + len(sigma.img_b))
-    reps = bound // len(sigma.img_a) + 1
-    pos_chain = sigma.img_a * reps
-    neg_chain = rho.img_a * (bound // len(rho.img_a) + 1)
-    for length in range(0, bound + 1):
-        if works(pos_chain[:length]):
-            return pos_chain[:length]
-        if length:
-            w = words.invert_word(neg_chain[:length])
-            if works(w):
-                return w
+    pos = _rotation_walk(sigma, rho, bound)
+    neg = _rotation_walk(rho, sigma, bound)
+    if neg is not None and (pos is None or len(neg) < len(pos)):
+        return words.invert_word(neg)
+    return pos
+
+
+def conjugate_power_search(
+    sigma: Substitution, rho: Substitution, kmax: int
+) -> tuple[int, int, str] | None:
+    """Search k, m <= kmax with equal matrix powers and a conjugating word.
+
+    Returns (k, m, witness) for the first power pair (ordered by k + m,
+    then k) whose matrices agree and whose powers are conjugate; None
+    when no power pair matches.
+    """
+    ms, mr = sigma.matrix(), rho.matrix()
+    pairs = sorted(
+        ((k, m) for k in range(1, kmax + 1) for m in range(1, kmax + 1)),
+        key=lambda km: (km[0] + km[1], km[0]),
+    )
+    for k, m in pairs:
+        if ms.power(k) != mr.power(m):
+            continue
+        witness = find_conjugator(sigma.power(k), rho.power(m))
+        if witness is not None:
+            return (k, m, witness)
     return None
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isfinite, isqrt, lcm
 
-from .errors import DeterminantMinusOneError, SturmdualError
+from .errors import DeterminantMinusOneError, ParseError, SturmdualError
 
 _FACTOR_LIMIT = 10**14
 
@@ -303,8 +303,6 @@ _QUAD_TERM = re.compile(
 
 def parse_quad(text: str) -> Quad:
     """Parse the ``p+q*sqrt(d)`` text form (either term may be absent)."""
-    from .errors import ParseError
-
     s = text.strip()
     if not s:
         raise ParseError("empty quadratic literal")
@@ -474,8 +472,6 @@ _CF_RE = re.compile(
 
 def parse_cf(text: str) -> CF:
     """Parse ``[a0; a1, a2, (p1, p2)]``."""
-    from .errors import ParseError
-
     m = _CF_RE.match(text.strip())
     if not m:
         raise ParseError(f"bad continued fraction literal: {text!r}")

@@ -308,29 +308,3 @@ def hulls_equal_upto(sigma: Substitution, rho: Substitution, max_len: int) -> bo
     the top length suffices.
     """
     return factor_set(sigma, max_len) == factor_set(rho, max_len)
-
-
-def conjugate_power_search(
-    sigma: Substitution, rho: Substitution, kmax: int
-) -> tuple[int, int, str] | None:
-    """Search k, m <= kmax with equal matrix powers and a conjugating word.
-
-    Returns (k, m, witness) for the first power pair (ordered by k + m,
-    then k) whose matrices agree and whose powers are conjugate; None
-    when no power pair matches.
-    """
-    from .invert import find_conjugator
-
-    ms = sigma.matrix()
-    mr = rho.matrix()
-    pairs = sorted(
-        ((k, m) for k in range(1, kmax + 1) for m in range(1, kmax + 1)),
-        key=lambda km: (km[0] + km[1], km[0]),
-    )
-    for k, m in pairs:
-        if ms.power(k) != mr.power(m):
-            continue
-        witness = find_conjugator(sigma.power(k), rho.power(m))
-        if witness is not None:
-            return (k, m, witness)
-    return None

@@ -4,8 +4,12 @@ import os
 import re
 import subprocess
 import sys
+import time
+
+import pytest
 
 import sturmdual
+from sturmdual import cli
 from sturmdual.checks import CheckResult
 from sturmdual.cli import (
     VERIFY_SUITES,
@@ -164,6 +168,55 @@ def test_enumerate_deterministic_and_counts():
     assert code == 1 and "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tiling", "a->aba,b->ab", "--depth", "30"),
+        ("tiling", "a->a,b->ab", "--depth", "1000000000"),
+        ("tiling", "a->aba,b->ab", "--depth", "-1"),
+        ("render", "a->aba,b->ab", "--iterations", "25"),
+        ("render", "a->b,b->a", "--target", "strand", "--iterations", "1000000000"),
+        ("render", "a->aba,b->ab", "--target", "dual_strand", "--iterations", "25"),
+        ("render", "a->aba,b->ab", "--target", "rauzy", "--iterations", "-1"),
+        ("cutproject", "a->aba,b->ab", "--range", "0", "1000000000"),
+        ("enumerate", "--max-len", "11"),
+    ],
+)
+def test_oversized_runs_are_refused_before_the_work(argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+    assert time.perf_counter() - start < 5
+
+
+def test_size_caps_count_every_level(monkeypatch):
+    # levels 0, 1, 2 of a -> aba, b -> ab hold 1, 3 and 8 tiles or segments
+    runs = (
+        ("tiling", "--depth", "2"),
+        ("render", "--iterations", "2"),
+        ("render", "--iterations", "2", "--target", "strand"),
+        ("render", "--iterations", "2", "--target", "dual_strand"),
+    )
+    monkeypatch.setattr(cli, "MAX_PATCH_TILES", 12)
+    monkeypatch.setattr(cli, "MAX_STRAND_SEGMENTS", 12)
+    for argv in runs:
+        assert run_cli(argv[0], "a->aba,b->ab", *argv[1:])[0] == 0, argv
+    monkeypatch.setattr(cli, "MAX_PATCH_TILES", 11)
+    monkeypatch.setattr(cli, "MAX_STRAND_SEGMENTS", 11)
+    for argv in runs:
+        code, _, err = run_cli(argv[0], "a->aba,b->ab", *argv[1:])
+        assert code == 1 and "more than the cap of 11 " in err, argv
+    monkeypatch.setattr(cli, "MAX_CUTPROJECT_WIDTH", 5)
+    assert run_cli("cutproject", "a->aba,b->ab", "--range", "-1", "4")[0] == 0
+    assert run_cli("cutproject", "a->aba,b->ab", "--range", "-1", "4+1/9")[0] == 1
+
+
+def test_enumerate_cap_option_is_gone():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["enumerate", "--max-len", "13", "--cap", "13"])
+
+
 def test_enumerate_selfdual_includes_rho():
     code, out, _ = run_cli("enumerate", "--max-len", "4", "--selfdual")
     assert code == 0
@@ -201,6 +254,16 @@ def test_verify_suites_smoke():
         code, out, err = run_cli("verify", *argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error:"), argv
+    # a suite that checked nothing fails, naming itself and the corpus bound
+    code, out, _ = run_cli("verify", "all", "--max-len", "1", "--count", "5")
+    lines = [VERIFY_LINE.match(line) for line in out.splitlines()]
+    assert code == 1 and all(lines), out
+    assert [m.group(1) for m in lines] == list(VERIFY_SUITES)
+    for m in lines:
+        suite, status, detail, checked = m.groups()
+        if checked == "0":
+            assert (status, detail) == ("FAIL", f"{suite} checked nothing at --max-len 1")
+    assert sum(m.group(2) == "FAIL" for m in lines) == 13, out
 
 
 def test_verify_fail_exits_1(monkeypatch):

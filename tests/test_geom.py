@@ -1,9 +1,12 @@
+import json
 import math
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from conftest import FIB, RHO
+from sturmdual.cli import main
 from sturmdual.errors import (
     CoveringError,
     DeterminantMinusOneError,
@@ -26,6 +29,7 @@ from sturmdual.geom import (
     tile_subst_from,
     tile_subst_from_digits,
 )
+from sturmdual.invert import generator_products
 from sturmdual.quadfield import Quad, spectral
 from sturmdual.subst import Substitution, factor_set, fixed_point_prefix
 
@@ -140,6 +144,34 @@ def test_rauzy_decomposition_satisfies_set_equation():
         assert pieces[-1][1] == intervals[i][1]
         for (_, r1), (l2, _) in zip(pieces, pieces[1:]):
             assert r1 == l2
+
+
+def test_printed_windows_solve_the_set_equation_in_sympy(capsys):
+    # the Bellman form of the set equation, rebuilt in sympy from the
+    # matrix alone: lo_t = min(r*lo_s + c) and hi_t = max(r*hi_s + c)
+    # over the pieces of t, with r the conjugate eigenvalue and c the
+    # conjugate valuations of the prefixes before each t in sigma(s)
+    members = [s for n, s in generator_products(5) if n and s.is_primitive() and s.det() == 1]
+    assert len(members) == 39
+    for sigma in members:
+        assert main(["rauzy", str(sigma), "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        lo = {t: sympy.sympify(printed[f"R_{t}"]["lo"]) for t in "ab"}
+        hi = {t: sympy.sympify(printed[f"R_{t}"]["hi"]) for t in "ab"}
+        m = sympy.Matrix(sigma.matrix().rows())
+        ratio = min(m.eigenvals(), key=lambda e: float(e))
+        ell = (ratio - m[0, 0]) / m[1, 0]
+        pieces = {"a": [], "b": []}
+        for s in "ab":
+            value = sympy.Integer(0)
+            for letter in sigma.image(s):
+                pieces[letter].append((s, value))
+                value += 1 if letter == "a" else ell
+        for t in "ab":
+            # every piece lies on the far side of the endpoint, one touches it
+            for ends, side in ((lo, 1), (hi, -1)):
+                signs = {side * sympy.sign(ratio * ends[s] + c - ends[t]) for s, c in pieces[t]}
+                assert signs <= {0, 1} and 0 in signs, (sigma, t)
 
 
 def test_rauzy_guards():

@@ -1,4 +1,7 @@
+from collections import defaultdict
+
 import pytest
+from sympy.combinatorics.free_groups import free_group
 
 from conftest import FIB, KRIEGER, RHO, SIG_UNCHANGED
 from sturmdual import words
@@ -127,6 +130,30 @@ def test_find_conjugator_witness_is_valid():
     wi = words.invert_word(w)
     for x in "ab":
         assert words.reduce_concat(words.reduce_concat(w, mirrored.image(x)), wi) == RHO.image(x)
+
+
+def test_find_conjugator_witnesses_in_sympy_free_group():
+    # every equal-matrix pair of the corpus is conjugate, and the witness
+    # satisfies sigma(x) = w rho(x) w^-1 in sympy's free group
+    group, a, b = free_group("a b")
+    letters = {"a": a, "b": b, "A": a**-1, "B": b**-1}
+
+    def element(word):
+        out = group.identity
+        for letter in word:
+            out *= letters[letter]
+        return out
+
+    by_matrix = defaultdict(list)
+    for names, sub in generator_products(5):
+        by_matrix[sub.matrix()].append(sub)
+    pairs = [(s, r) for subs in by_matrix.values() for s in subs for r in subs]
+    assert len(pairs) == 767
+    for sigma, rho in pairs:
+        w = find_conjugator(sigma, rho)
+        assert w is not None, (sigma, rho)
+        for x in "ab":
+            assert element(sigma.image(x)) == element(w) * element(rho.image(x)) * element(w) ** -1
 
 
 def test_are_conjugate():

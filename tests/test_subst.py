@@ -4,14 +4,13 @@ import pytest
 from conftest import FIB, KRIEGER, KRIEGER_PARTNER, RHO
 from sturmdual import words
 from sturmdual.errors import ParseError, SturmdualError
-from sturmdual.invert import GEN_E
+from sturmdual.invert import GEN_E, conjugate_power_search
 from sturmdual.subst import (
     IDENTITY,
     FreeEndo,
     Mat2,
     Substitution,
     complexity_profile,
-    conjugate_power_search,
     factor_language,
     factor_set,
     fixed_point_prefix,
