@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass
 from time import perf_counter
@@ -36,7 +37,7 @@ MAX_GENERATOR_LEN = 10
 MAX_PATCH_TILES = 50000
 MAX_STRAND_SEGMENTS = 200000
 # cap on the width of a cutproject range: the lattice points tested grow
-# with its square
+# linearly with it, one short run of alpha per beta
 MAX_CUTPROJECT_WIDTH = 200
 
 def _exact(x: Quad) -> dict:
@@ -503,8 +504,20 @@ def _add_spec(p, square=True):
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token such as -7/2 or -sqrt(5) as a value, not as an option.
+
+    argparse alone takes only plain negative numbers such as -3 as values;
+    no option of this parser starts with a dash and a digit or sqrt(.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|sqrt\()")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sturmdual",
         description="Exact analysis of two-letter substitutions and their duals.",
     )

@@ -22,7 +22,7 @@ PRIMAL_KINDS = ("a", "b")
 DUAL_KINDS = ("a*", "b*")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     x: int
     y: int
@@ -162,7 +162,7 @@ def e1_star_apply(sigma: Substitution, s: StrandSum) -> StrandSum:
     minv = sigma.matrix().inverse_unimodular()
     counts: dict[Segment, int] = {}
     for seg, mult in s.items():
-        for j in "ab":
+        for j, dual_kind in zip("ab", DUAL_KINDS):
             image = sigma.image(j)
             na, nb = image.count("a"), image.count("b")
             for letter in image:
@@ -174,7 +174,7 @@ def e1_star_apply(sigma: Substitution, s: StrandSum) -> StrandSum:
                     continue
                 # (na, nb) now counts the suffix strictly after this position
                 wx, wy = minv.apply((seg.x + na, seg.y + nb))
-                out = Segment(wx, wy, j + "*")
+                out = Segment(wx, wy, dual_kind)
                 counts[out] = counts.get(out, 0) + mult
     return StrandSum.from_counts(counts)
 

@@ -353,9 +353,6 @@ class Lattice:
     def project_phys(self, alpha: int, beta: int) -> Quad:
         return Quad(alpha) + self.ell * beta
 
-    def project_intern(self, alpha: int, beta: int) -> Quad:
-        return Quad(alpha) + self.ell_conj * beta
-
 
 def lattice_for(sigma: Substitution) -> Lattice:
     spec = spectral(sigma.matrix())
@@ -376,18 +373,23 @@ def cut_project_points(lat: Lattice, window, phys_range, closed: str = "lo") -> 
     denom = lat.ell - lat.ell_conj
     if denom.sign() <= 0:
         raise SturmdualError("lattice basis is degenerate: ell <= ell'")
-    beta_lo = ((rlo - whi) / denom).floor() - 1
-    beta_hi = ((rhi - wlo) / denom).ceil() + 1
+    # beta*(ell - ell') is the physical minus the internal coordinate; per
+    # beta, alpha + beta*ell must lie in the range and alpha + beta*ell' in
+    # the closed window, so the alpha tested are the integers of an
+    # interval no longer than the window
+    beta_lo = ((rlo - whi) / denom).ceil()
+    beta_hi = ((rhi - wlo) / denom).floor()
     points = []
     for beta in range(beta_lo, beta_hi + 1):
-        alo = rlo - lat.ell * beta
-        ahi = rhi - lat.ell * beta
+        phys_shift, intern_shift = lat.ell * beta, lat.ell_conj * beta
+        alo = max(rlo - phys_shift, wlo - intern_shift)
+        ahi = min(rhi - phys_shift, whi - intern_shift)
         for alpha in range(alo.ceil(), ahi.floor() + 1):
-            intern = lat.project_intern(alpha, beta)
+            intern = intern_shift + alpha
             lo_ok = wlo <= intern if closed in ("lo", "both") else wlo < intern
             hi_ok = intern <= whi if closed in ("hi", "both") else intern < whi
             if lo_ok and hi_ok:
-                points.append(lat.project_phys(alpha, beta))
+                points.append(phys_shift + alpha)
     points.sort()
     return points
 

@@ -132,6 +132,25 @@ def test_cutproject_and_sturmian_and_cf():
     assert run_cli("cf", "1/2+1/2*sqrt(5)") == (0, "[1; (1)]\n", "")
 
 
+def test_values_may_start_with_a_minus_sign():
+    code, out, _ = run_cli("cutproject", "a->aba,b->ab", "--range", "-7/2", "3", "--json")
+    assert code == 0
+    assert json.loads(out) == [
+        "-1-sqrt(5)", "-3/2-1/2*sqrt(5)", "-1/2-1/2*sqrt(5)", "-1", "0", "1",
+        "1/2+1/2*sqrt(5)", "3/2+1/2*sqrt(5)",
+    ]
+    code, out, _ = run_cli("sturmian", "1/2*sqrt(5)-1", "--rho", "-1/3")
+    assert code == 0
+    assert out == run_cli("sturmian", "1/2*sqrt(5)-1", "--rho=-1/3")[1]
+    assert out != run_cli("sturmian", "1/2*sqrt(5)-1")[1]
+    assert run_cli("cf", "-7/3") == (0, "[-3; 1, 2]\n", "")
+    assert run_cli("cf", "-sqrt(5)") == (0, "[-3; 1, 3, (4)]\n", "")
+    # an unknown option is still an argparse usage error (exit 2)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("cf", "--bogus")
+    assert exc.value.code == 2
+
+
 def _package_env():
     src = os.path.dirname(os.path.dirname(sturmdual.__file__))
     return dict(os.environ, PYTHONPATH=src)

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
 from conftest import FIB, KRIEGER, RHO
 from sturmdual.dualmap import (
+    DUAL_KINDS,
     Segment,
     StrandSum,
     code_dual_strand,
@@ -50,6 +52,29 @@ def test_e1_star_apply_generator():
     # direct formula with the inverse matrix [[1,-1],[0,1]]
     out = e1_star_apply(GEN_L, StrandSum.single(0, 0, "a*"))
     assert out == StrandSum([seg(0, 0, "a*"), seg(-1, 1, "b*")])
+
+
+def test_segments_are_slotted_with_value_semantics():
+    s = seg(1, -2, "a*")
+    assert not hasattr(s, "__dict__")
+    assert Segment.__slots__ == ("x", "y", "kind")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.x = 0
+    # a kind built at run time is a different string object of equal value
+    built = Segment(1, -2, "".join(["a", "*"]))
+    assert built.kind is not s.kind
+    assert built == s and hash(built) == hash(s)
+    assert len({s, built, seg(1, -2, "b*"), seg(-2, 1, "a*")}) == 3
+    assert seg(1, -2, "a") != s
+
+
+def test_e1_star_apply_kinds_are_the_shared_strings():
+    members = [s for n, s in generator_products(4) if n and s.is_unimodular()]
+    assert len(members) > 20
+    for sigma in members:
+        for kind in DUAL_KINDS:
+            for out, _ in e1_star_apply(sigma, StrandSum.single(2, -1, kind)).items():
+                assert any(out.kind is shared for shared in DUAL_KINDS), (str(sigma), out)
 
 
 def test_e1_star_guards():

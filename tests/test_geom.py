@@ -31,7 +31,7 @@ from sturmdual.geom import (
 )
 from sturmdual.invert import generator_products
 from sturmdual.quadfield import Quad, spectral
-from sturmdual.subst import Substitution, factor_set, fixed_point_prefix
+from sturmdual.subst import Substitution, factor_set, fixed_point_prefix, parse_substitution
 
 TAU = Quad(F(1, 2), F(1, 2), 5)
 TAU_INV = TAU - 1
@@ -241,6 +241,93 @@ def test_cut_project_widened_window_has_extra_points():
     widened = cut_project_points(lat, (lo - 1, hi + 1), (Quad(0), Quad(30)))
     exact = cut_project_points(lat, (lo, hi), (Quad(0), Quad(30)))
     assert len(widened) > len(exact)
+
+
+# window conventions of cut_project_points, as tests on the signs of
+# (internal coordinate - lo) and (internal coordinate - hi)
+_CLOSED_TESTS = {
+    "lo": lambda lo_sign, hi_sign: lo_sign >= 0 and hi_sign < 0,
+    "hi": lambda lo_sign, hi_sign: lo_sign > 0 and hi_sign <= 0,
+    "open": lambda lo_sign, hi_sign: lo_sign > 0 and hi_sign < 0,
+    "both": lambda lo_sign, hi_sign: lo_sign >= 0 and hi_sign <= 0,
+}
+
+
+def _sign_against(alpha, beta, coord, bound):
+    """Sign of alpha + beta*coord - bound: from floats, exact when close."""
+    gap = alpha + beta * float(coord) - float(bound)
+    if abs(gap) > 1e-6:
+        return 1 if gap > 0 else -1
+    return (coord * beta + alpha - bound).sign()
+
+
+def _box_scan(lat, window, phys_range):
+    """Every lattice point over the physical range whose internal coordinate
+    lies in the closed window, with its two window signs; beta and alpha
+    run over generous float bounds and each point is tested on its own."""
+    (wlo, whi), (rlo, rhi) = window, phys_range
+    basis = float(lat.ell - lat.ell_conj)
+    found = []
+    for beta in range(math.floor(float(rlo - whi) / basis) - 2, math.ceil(float(rhi - wlo) / basis) + 3):
+        shift = beta * float(lat.ell)
+        for alpha in range(math.floor(float(rlo) - shift) - 2, math.ceil(float(rhi) - shift) + 3):
+            if _sign_against(alpha, beta, lat.ell, rlo) < 0 or _sign_against(alpha, beta, lat.ell, rhi) > 0:
+                continue
+            signs = (
+                _sign_against(alpha, beta, lat.ell_conj, wlo),
+                _sign_against(alpha, beta, lat.ell_conj, whi),
+            )
+            if signs[0] >= 0 and signs[1] <= 0:
+                found.append((lat.ell * beta + alpha, *signs))
+    return found
+
+
+def test_cut_project_points_match_a_box_scan():
+    members = [s for n, s in generator_products(5) if n and s.is_primitive() and s.det() == 1]
+    assert len(members) == 39
+    ranges = ((Quad(0), Quad(30)), (Quad(F(-7, 2)), Quad(11)))
+    calls = 0
+    for sigma in members:
+        lat = lattice_for(sigma)
+        lo, hi = rauzy_decomposition(sigma).window()
+        for window in ((lo, hi), (lo - 1, hi + 1), (lo, lo)):
+            for phys_range in ranges:
+                box = _box_scan(lat, window, phys_range)
+                for closed, test in _CLOSED_TESTS.items():
+                    want = sorted(p for p, lo_sign, hi_sign in box if test(lo_sign, hi_sign))
+                    got = cut_project_points(lat, window, phys_range, closed=closed)
+                    assert got == want, (str(sigma), window, phys_range, closed)
+                    calls += 1
+    assert calls == 39 * 3 * 2 * 4
+
+
+@pytest.mark.parametrize(
+    "spec", ["a->aba,b->ab", "a->ba,b->babab", "a->bba,b->bbabbab", "a->ba,b->bababab"]
+)
+def test_printed_model_set_matches_sympy(capsys, spec):
+    # lattice points alpha + beta*ell over [-7/2, 20] whose internal
+    # coordinate alpha + beta*ell' lies in [lo, hi), with ell and ell'
+    # rebuilt in sympy from the matrix and the window read from `rauzy`
+    assert main(["rauzy", spec, "--json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    wlo = sympy.Min(*(sympy.sympify(printed[f"R_{t}"]["lo"]) for t in "ab"))
+    whi = sympy.Max(*(sympy.sympify(printed[f"R_{t}"]["hi"]) for t in "ab"))
+    m = sympy.Matrix(parse_substitution(spec).matrix().rows())
+    ell_conj, ell = ((e - m[0, 0]) / m[1, 0] for e in sorted(m.eigenvals(), key=float))
+    rlo, rhi = sympy.Rational(-7, 2), sympy.Integer(20)
+    # beta*(ell - ell') is the physical minus the internal coordinate
+    beta_lo = sympy.floor((rlo - whi) / (ell - ell_conj))
+    beta_hi = sympy.ceiling((rhi - wlo) / (ell - ell_conj))
+    want = []
+    for beta in range(int(beta_lo), int(beta_hi) + 1):
+        for alpha in range(int(sympy.ceiling(rlo - beta * ell)), int(sympy.floor(rhi - beta * ell)) + 1):
+            intern = alpha + beta * ell_conj
+            if bool(wlo <= intern) and bool(intern < whi):
+                want.append(sympy.expand(alpha + beta * ell))
+    assert main(["cutproject", spec, "--range", "-7/2", "20", "--json"]) == 0
+    points = [sympy.expand(sympy.sympify(p)) for p in json.loads(capsys.readouterr().out)]
+    assert len(want) > 5
+    assert points == sorted(want, key=lambda v: v.evalf(50))
 
 
 def test_sturmian_word_examples():
