@@ -7,7 +7,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from time import perf_counter
 
 from . import checks, dualmap, geom, invert, words
@@ -64,7 +64,8 @@ class AnalysisReport:
     note: str | None = None
 
     def to_json_dict(self) -> dict:
-        d = asdict(self)
+        # shallow: asdict would deep-copy the matrix and the value dicts
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["lambda"] = d.pop("lam")
         return {"schema": SCHEMA_VERSION, **d}
 

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isfinite, isqrt, lcm
+from math import gcd, isfinite, isqrt, lcm
 
 from .errors import DeterminantMinusOneError, ParseError, SturmdualError
 
@@ -302,7 +302,11 @@ _QUAD_TERM = re.compile(
 
 
 def parse_quad(text: str) -> Quad:
-    """Parse the ``p+q*sqrt(d)`` text form (either term may be absent)."""
+    """Parse the ``p+q*sqrt(d)`` text form (either term may be absent).
+
+    A zero denominator, terms over two radicands and a radicand too large
+    to reduce are parse errors.
+    """
     s = text.strip()
     if not s:
         raise ParseError("empty quadratic literal")
@@ -314,12 +318,17 @@ def parse_quad(text: str) -> Quad:
         if not m or (not first and m.group("sign") == ""):
             raise ParseError(f"bad quadratic literal: {text!r}", pos)
         sign = -1 if m.group("sign") == "-" else 1
-        if m.group("rad") is not None:
-            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
-            term = Quad(0, sign * coeff, int(m.group("rad")))
-        else:
-            term = Quad(sign * Fraction(m.group("rat")))
-        total = total + term
+        try:
+            if m.group("rad") is not None:
+                coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+                term = sqrt_int(int(m.group("rad"))) * (sign * coeff)
+            else:
+                term = Quad(sign * Fraction(m.group("rat")))
+            total = total + term
+        except ZeroDivisionError as exc:
+            raise ParseError(f"zero denominator in quadratic literal {text!r}", pos) from exc
+        except (ValueError, SturmdualError) as exc:
+            raise ParseError(f"bad quadratic literal {text!r}: {exc}", pos) from exc
         pos = m.end()
         first = False
     return total
@@ -357,7 +366,13 @@ class SpectralData:
 
 
 def spectral(m) -> SpectralData:
-    """Exact eigendata for a primitive subst.Mat2 with determinant +-1."""
+    """Exact eigendata for a primitive subst.Mat2 with determinant +-1.
+
+    Closed forms over the integers D = tr^2 - 4 det, e = m22 - m11 and
+    f = e + 2 m12 give lam = (tr + sqrt(D))/2, alpha = (e + sqrt(D))/(f + sqrt(D))
+    = (e f - D + 2 m12 sqrt(D))/(f^2 - D) and ell = (e + sqrt(D))/(2 m21);
+    each of the six fields is one Quad built from Fractions.
+    """
     det = m.det()
     if det not in (1, -1):
         raise SturmdualError(f"matrix has determinant {det}, not +-1")
@@ -365,16 +380,19 @@ def spectral(m) -> SpectralData:
         raise SturmdualError("matrix is not primitive")
     tr = m.m11 + m.m22
     disc = tr * tr - 4 * det
-    root = sqrt_int(disc)
-    if root.is_rational:
+    s, d = squarefree_decompose(disc)
+    if d in (0, 1):
         raise SturmdualError("eigenvalues are rational; matrix not primitive unimodular")
-    lam = (Quad(tr) + root) / 2
-    lam_conj = lam.star()
-    # right eigenvector (1 - alpha, alpha):  m11(1-a) + m12 a = lam (1-a)
-    alpha = (lam - m.m11) / (lam - m.m11 + m.m12)
-    # left eigenvector (1, ell):  m11 + ell m21 = lam
-    ell = (lam - m.m11) / m.m21
-    return SpectralData(lam, lam_conj, alpha, alpha.star(), ell, ell.star())
+    e = m.m22 - m.m11
+    f = e + 2 * m.m12
+    # lam - m11 = (e + sqrt(D))/2; right eigenvector (1 - alpha, alpha)
+    # gives alpha = (lam - m11)/(lam - m11 + m12), left eigenvector (1, ell)
+    # gives m11 + ell m21 = lam
+    lam = Quad(Fraction(tr, 2), Fraction(s, 2), d)
+    norm = f * f - disc
+    alpha = Quad(Fraction(e * f - disc, norm), Fraction(2 * m.m12 * s, norm), d)
+    ell = Quad(Fraction(e, 2 * m.m21), Fraction(s, 2 * m.m21), d)
+    return SpectralData(lam, lam.star(), alpha, alpha.star(), ell, ell.star())
 
 
 def dual_frequency(s: SpectralData) -> Quad:
@@ -470,24 +488,31 @@ _CF_RE = re.compile(
 )
 
 
+def _cf_integers(text: str, literal: str) -> list[int]:
+    """The comma-separated quotients of ``text``, which must be integers."""
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise ParseError(f"bad continued fraction literal {literal!r}: quotients must be integers") from exc
+
+
 def parse_cf(text: str) -> CF:
     """Parse ``[a0; a1, a2, (p1, p2)]``."""
     m = _CF_RE.match(text.strip())
     if not m:
         raise ParseError(f"bad continued fraction literal: {text!r}")
-    a0 = int(m.group(1))
+    pre = _cf_integers(m.group(1), text)
     rest = (m.group(2) or "").strip()
-    pre = [a0]
     per: list[int] = []
     if rest:
         pm = re.match(r"^(.*?)\(\s*([^)]*)\)\s*$", rest)
         if pm:
             head, body = pm.group(1).strip().rstrip(","), pm.group(2)
             if head:
-                pre.extend(int(t) for t in head.split(","))
-            per = [int(t) for t in body.split(",")]
+                pre.extend(_cf_integers(head, text))
+            per = _cf_integers(body, text)
         else:
-            pre.extend(int(t) for t in rest.split(","))
+            pre.extend(_cf_integers(rest, text))
     try:
         return normalize_cf(tuple(pre), tuple(per))
     except ValueError as exc:
@@ -513,13 +538,42 @@ def normalize_cf(
     return CF(tuple(pre), tuple(per), value_hint)
 
 
+def _surd_quotients(a: int, b: int, q: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Shortest preperiod and minimal period of (a + b*sqrt(n)) / q.
+
+    Integers with b, q nonzero and n > 0 not a square.  The integer
+    state (P + sqrt(N)) / Q with Q | N - P^2 gives each quotient as
+    (P + r) // Q, or -((P + r) // -Q) - 1 for Q < 0, with r = isqrt(N)
+    taken once; the first repeated state marks the cycle.
+    """
+    g = gcd(a, b, q)
+    a, b, q = a // g, b // g, q // g
+    if b < 0:
+        a, q = -a, -q
+    n *= b * b
+    if (n - a * a) % q != 0:
+        scale = abs(q)
+        a, q, n = a * scale, q * scale, n * scale * scale
+    r = isqrt(n)
+    seen: dict[tuple[int, int], int] = {}
+    quotients = []
+    while (a, q) not in seen:
+        seen[(a, q)] = len(quotients)
+        k = (a + r) // q if q > 0 else -((a + r) // -q) - 1
+        quotients.append(k)
+        a = k * q - a
+        q = (n - a * a) // q
+    start = seen[(a, q)]
+    return tuple(quotients[:start]), tuple(quotients[start:])
+
+
 def cf_expand(x: Quad) -> CF:
     """Exact eventually periodic expansion of a Quad.
 
     Rational values give a finite expansion (empty period, canonical
-    last quotient).  Quadratic irrationals use the integer state
-    (P + sqrt(N)) / Q; the first repeated state marks the cycle, which
-    yields the minimal period and shortest preperiod.
+    last quotient).  Quadratic irrationals run the integer state
+    (P + sqrt(N)) / Q of ``_surd_quotients`` on x = (a + b*sqrt(d)) / n;
+    no Quad is built, and x itself becomes the value_hint.
     """
     if x.is_rational:
         quotients = []
@@ -531,64 +585,55 @@ def cf_expand(x: Quad) -> CF:
                 break
             num, den = den, r
         return CF(tuple(quotients), ())
+    a, b, n = x._over_one_denominator()
+    return CF(*_surd_quotients(a, b, n, x.d), x)
 
-    # write x = (P + sqrt(N)) / Q with integers, Q | (N - P^2)
-    a_int, b_int, common = x._over_one_denominator()
-    n = b_int * b_int * x.d
-    if b_int > 0:
-        pcur, qcur = a_int, common
-    else:
-        pcur, qcur = -a_int, -common
-    if (n - pcur * pcur) % qcur != 0:
-        scale = abs(qcur)
-        pcur *= scale
-        n *= scale * scale
-        qcur *= scale
 
-    sqrt_n = Quad(0, 1, n)
-    seen: dict[tuple[int, int], int] = {}
-    quotients = []
-    while (pcur, qcur) not in seen:
-        seen[(pcur, qcur)] = len(quotients)
-        a = ((sqrt_n + pcur) / qcur).floor()
-        quotients.append(a)
-        pnext = a * qcur - pcur
-        qnext = (n - pnext * pnext) // qcur
-        pcur, qcur = pnext, qnext
-    start = seen[(pcur, qcur)]
-    return CF(tuple(quotients[:start]), tuple(quotients[start:]), x)
+def _convergents(quotients) -> tuple[int, int, int, int]:
+    """(p1, p0, q1, q0) with [a0; a1, .., ak, y] = (p1 y + p0) / (q1 y + q0)."""
+    p1, p0, q1, q0 = 1, 0, 0, 1
+    for a in quotients:
+        p1, p0 = a * p1 + p0, p1
+        q1, q0 = a * q1 + q0, q1
+    return p1, p0, q1, q0
+
+
+def _cf_surd(c: CF) -> tuple[int, int, int, int]:
+    """Integers (P, S, Q, N) with value (P + S*sqrt(N)) / Q for a periodic c.
+
+    N is the unfactored discriminant of the periodic tail y, which
+    solves k1 y^2 + (k0 - h1) y - h0 = 0 for the period's convergents,
+    so y = (u + sqrt(N)) / v.  The preperiod's convergents fold it in:
+    value = (p1 y + p0) / (q1 y + q0) = (A + p1 sqrt(N)) / (B + q1 sqrt(N)).
+    """
+    h1, h0, k1, k0 = _convergents(c.period)
+    n = (k0 - h1) * (k0 - h1) + 4 * k1 * h0
+    u, v = h1 - k0, 2 * k1
+    p1, p0, q1, q0 = _convergents(c.preperiod)
+    a, b = p1 * u + p0 * v, q1 * u + q0 * v
+    # times the conjugate B - q1 sqrt(N) above and below
+    return a * b - p1 * q1 * n, (p1 * q0 - p0 * q1) * v, b * b - q1 * q1 * n, n
 
 
 def cf_value(c: CF, radicand: int | None = None) -> Quad:
     """Exact value of a continued fraction; inverse of cf_expand.
 
-    A known squarefree radicand (taken from value_hint when present)
-    lets the periodic-tail discriminant be resolved without factoring,
-    which keeps long periods exact.
+    Integer convergents give the value as (P + S*sqrt(N)) / Q (a
+    fraction for finite expansions), from which one Quad is built.  A
+    known squarefree radicand (taken from value_hint when present) lets
+    N be resolved without factoring, which keeps long periods exact.
     """
+    if not c.period:
+        p1, _, q1, _ = _convergents(c.preperiod)
+        return Quad(Fraction(p1, q1))
     if radicand is None and c.value_hint is not None:
         radicand = c.value_hint.d
-    if c.period:
-        h1, h0 = 1, 0  # numerator convergents of the period block
-        k1, k0 = 0, 1
-        for a in c.period:
-            h1, h0 = a * h1 + h0, h1
-            k1, k0 = a * k1 + k0, k1
-        # periodic tail y satisfies  k1 y^2 + (k0 - h1) y - h0 = 0, y > 1
-        disc = (k0 - h1) * (k0 - h1) + 4 * k1 * h0
-        parts = _square_part_with_field(disc, radicand) if radicand else None
-        if parts is None:
-            parts = squarefree_decompose(disc)
-        s, d = parts
-        root = Quad(s) if d in (0, 1) else Quad(0, s, d)
-        value = (Quad(h1 - k0) + root) / (2 * k1)
-        head = c.preperiod
-    else:
-        value = Quad(c.preperiod[-1])
-        head = c.preperiod[:-1]
-    for a in reversed(head):
-        value = Quad(a) + QUAD_ONE / value
-    return value
+    p, s, q, n = _cf_surd(c)
+    parts = _square_part_with_field(n, radicand) if radicand else None
+    if parts is None:
+        parts = squarefree_decompose(n)
+    root, d = parts
+    return Quad(Fraction(p, q), Fraction(s * root, q), d)
 
 
 # ---------------------------------------------------------------------------
@@ -642,26 +687,57 @@ def _sturm_transform_candidates(c: CF):
                     yield (0, 1 + nk), out_per
 
 
+def _surd_sign(a: int, b: int, n: int) -> int:
+    """Sign of a + b*sqrt(n) for integers a, b and n > 0 not a square."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    return sa if a * a > b * b * n else sb
+
+
 def cf_dual_transform(c: CF) -> CF:
     """Rewrite the expansion of a Sturm number into that of its dual frequency.
 
-    Applies the case rules for Sturm-number shapes and keeps the first
-    rewriting whose exact value matches (alpha' - 1)/(2 alpha' - 1).
+    alpha = (P + S*sqrt(N)) / Q comes from the integer convergents of c
+    over the unfactored discriminant N.  Integer sign tests decide the
+    Sturm-number test, and the target (alpha' - 1)/(2 alpha' - 1), kept
+    as integers over N, is expanded once by cf_expand's integer loop.
+    The case rules for Sturm-number shapes then give candidates; the
+    first whose canonical form equals that expansion is the result.
+    Its value_hint is the target, one Quad, when c's own hint names the
+    field, and None otherwise (N stays unfactored).
     """
     if not c.period:
         raise SturmdualError("finite expansion: not a Sturm number")
-    alpha = cf_value(c)
-    if not is_sturm_number(alpha):
+    p, s, q, n = _cf_surd(c)
+    if q < 0:
+        p, s, q = -p, -s, -q
+
+    def in_unit_interval(t: int) -> bool:  # 0 < (p + t*sqrt(n)) / q < 1
+        return _surd_sign(p, t, n) > 0 > _surd_sign(p - q, t, n)
+
+    if not in_unit_interval(s) or in_unit_interval(-s):
         raise SturmdualError(f"{format_cf(c)} is not the expansion of a Sturm number")
-    target = dual_frequency_value(alpha)
+    # (alpha' - 1)/(2 alpha' - 1) = (p - q - s*sqrt(n)) / (2p - q - 2s*sqrt(n)),
+    # times the conjugate of the denominator above and below
+    tp = (p - q) * (2 * p - q) - 2 * s * s * n
+    ts = -s * q
+    tq = (2 * p - q) * (2 * p - q) - 4 * s * s * n
+    hint = None
+    parts = _square_part_with_field(n, c.value_hint.d) if c.value_hint is not None else None
+    if parts is not None:
+        root, d = parts
+        hint = Quad(Fraction(tp, tq), Fraction(ts * root, tq), d)
+    expected = CF(*_surd_quotients(tp, ts, tq, n), hint)
     for pre, per in _sturm_transform_candidates(c):
         try:
             cand = normalize_cf(pre, per)
-            value = cf_value(cand, radicand=target.d)
-        except (ValueError, SturmdualError):
+        except ValueError:
             continue
-        if value == target:
-            return normalize_cf(cand.preperiod, cand.period, target)
+        if cand == expected:
+            return expected
     raise SturmdualError(f"{format_cf(c)} does not match a Sturm-number shape")
 
 

@@ -7,6 +7,8 @@ import sys
 import time
 
 import pytest
+import sympy
+from sympy.ntheory.continued_fraction import continued_fraction_reduce
 
 import sturmdual
 from sturmdual import cli
@@ -149,6 +151,41 @@ def test_values_may_start_with_a_minus_sign():
     with pytest.raises(SystemExit) as exc:
         run_cli("cf", "--bogus")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cf", "1/0"),
+        ("cf", "0/0"),
+        ("cf", "1/0*sqrt(2)"),
+        ("cutproject", "a->aba,b->ab", "--range", "0", "1/0"),
+        ("sturmian", "1/2*sqrt(5)-1/2", "--rho", "1/0"),
+        ("cf", "[1;2,(1/0)]"),
+    ],
+)
+def test_zero_denominators_and_non_integer_quotients_are_parse_errors(argv):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
+    assert "Traceback" not in err
+
+
+def test_long_period_has_a_dual():
+    # the discriminant of this period is too large to factor, so the dual
+    # transform has to work over it unfactored
+    period = list(range(1, 21))
+    text = "[0; (" + ", ".join(map(str, period)) + ")]"
+    dual_period = [1, *range(20, 1, -1)]
+    printed = "[0; 1, (" + ", ".join(map(str, dual_period)) + ")]\n"
+    assert run_cli("cf", text, "--dual") == (0, printed, "")
+    assert run_cli("cf", text, "--dual", "--test-selfdual") == (0, printed + "selfdual_frequency False\n", "")
+    # in sympy: the printed expansion has the value (alpha' - 1)/(2 alpha' - 1)
+    alpha = continued_fraction_reduce([0, period])
+    root = next(p for p in alpha.atoms(sympy.Pow) if p.exp == sympy.S.Half)
+    conj = alpha.subs(root, -root)
+    dual = continued_fraction_reduce([0, 1, dual_period])
+    assert sympy.expand(sympy.radsimp((conj - 1) / (2 * conj - 1) - dual)) == 0
 
 
 def _package_env():

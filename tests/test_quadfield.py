@@ -4,13 +4,15 @@ import math
 import random
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 import sympy
 from sympy.ntheory import continued_fraction_periodic
+from sympy.ntheory.continued_fraction import continued_fraction_reduce
 
 from sturmdual.cli import main
-from sturmdual.errors import DeterminantMinusOneError, SturmdualError
+from sturmdual.errors import DeterminantMinusOneError, ParseError, SturmdualError
+from sturmdual.invert import generator_products
 from sturmdual.quadfield import (
     CF,
     Quad,
@@ -178,6 +180,40 @@ def test_spectral_guards():
         spectral(Mat2(1, 1, 0, 1))  # unimodular but not primitive
 
 
+def _sympy_equal(x: Quad, expr) -> bool:
+    return sympy.expand(sympy.radsimp(sympy.sympify(format_quad(x)) - expr)) == 0
+
+
+def _sympy_spectral(rows):
+    """(lam, lam', alpha, alpha', ell, ell') from sympy's eigenvectors."""
+    m = sympy.Matrix(rows)
+    right = {val: vecs[0] for val, _, vecs in m.eigenvects()}
+    left = {val: vecs[0] for val, _, vecs in m.T.eigenvects()}
+    lam, lam_conj = sorted(right, key=lambda v: v.evalf(), reverse=True)
+    out = []
+    for val in (lam, lam_conj):
+        v, w = right[val], left[val]
+        out += [val, v[1] / (v[0] + v[1]), w[1] / w[0]]
+    return out[0], out[3], out[1], out[4], out[2], out[5]
+
+
+def test_spectral_matches_sympy_on_the_corpus():
+    # every primitive det +-1 member of the length <= 6 corpus; sympy's
+    # right eigenvector with coordinate sum 1 gives alpha, its left
+    # eigenvector scaled to (1, ell) gives ell
+    oracle = {}
+    members = [s for names, s in generator_products(6) if names and s.is_primitive() and s.det() in (1, -1)]
+    assert len(members) == 275
+    for sigma in members:
+        rows = sigma.matrix().rows()
+        if rows not in oracle:
+            oracle[rows] = _sympy_spectral(rows)
+        s = spectral(sigma.matrix())
+        ours = (s.lam, s.lam_conj, s.alpha, s.alpha_conj, s.ell, s.ell_conj)
+        assert all(_sympy_equal(x, y) for x, y in zip(ours, oracle[rows])), sigma
+    assert len(oracle) == 41
+
+
 def float_cf_quotients(x: float, count: int) -> list[int]:
     """Floating continued-fraction oracle (reliable for small depth)."""
     out = []
@@ -209,6 +245,19 @@ def test_cf_value_examples():
     assert cf_value(CF((0,), (1,))) == golden
     assert cf_value(CF((0, 2), (1,))) == ALPHA_RHO
     assert cf_value(CF((2, 3), ())) == Quad(F(7, 3))
+
+
+preperiods = st.just([]) | st.builds(
+    lambda a0, rest: [a0, *rest], st.integers(-5, 5), st.lists(st.integers(1, 9), max_size=7)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(preperiods, st.lists(st.integers(1, 9), min_size=1, max_size=6))
+def test_cf_value_matches_sympy_with_long_preperiods(pre, per):
+    # preperiods up to length 8, beyond what cf_expand's round trip produces
+    value = cf_value(CF(tuple(pre), tuple(per)))
+    assert _sympy_equal(value, continued_fraction_reduce(pre + [per]))
 
 
 def test_cf_roundtrip_random_surds():
@@ -289,6 +338,8 @@ def test_cf_dual_transform_examples():
     out = cf_dual_transform(cf_expand(r2))
     assert cf_value(out) == dual_frequency_value(r2)
     assert out == CF((0, 1, 1), (2,))
+    assert out.value_hint == dual_frequency_value(r2)
+    assert cf_dual_transform(parse_cf("[0; (2)]")).value_hint is None
 
     with pytest.raises(SturmdualError):
         cf_dual_transform(CF((0, 3), ()))  # rational
@@ -330,3 +381,20 @@ def test_is_selfdual_frequency_matches_exact_duality():
 def test_quad_text_roundtrip():
     for x in [TAU, Quad(F(-3, 7)), Quad(0), Quad(0, 1, 2), Quad(2, -3, 7)]:
         assert parse_quad(format_quad(x)) == x
+
+
+@settings(deadline=None)
+@given(st.text(alphabet="0123456789/+-*sqrt()[];, "))
+@example("1/0")
+@example("0/0")
+@example("1/0*sqrt(2)")
+@example("[1;2,(1/0)]")
+@example("sqrt(2)+sqrt(3)")
+@example("sqrt(0)")
+@example("sqrt(" + "9" * 40 + "7)")
+def test_parsers_return_a_value_or_a_parse_error(text):
+    for parse in (parse_quad, parse_cf):
+        try:
+            parse(text)
+        except ParseError:
+            pass
