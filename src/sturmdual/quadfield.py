@@ -368,10 +368,13 @@ class SpectralData:
 def spectral(m) -> SpectralData:
     """Exact eigendata for a primitive subst.Mat2 with determinant +-1.
 
-    Closed forms over the integers D = tr^2 - 4 det, e = m22 - m11 and
-    f = e + 2 m12 give lam = (tr + sqrt(D))/2, alpha = (e + sqrt(D))/(f + sqrt(D))
-    = (e f - D + 2 m12 sqrt(D))/(f^2 - D) and ell = (e + sqrt(D))/(2 m21);
-    each of the six fields is one Quad built from Fractions.
+    With lam - m11 = (e + sqrt(D))/2, the right eigenvector gives
+    alpha = (lam - m11)/(lam - m11 + m12) and the left eigenvector gives
+    ell = (lam - m11)/m21.  Closed forms over the integers
+    D = tr^2 - 4 det, e = m22 - m11 and f = e + 2 m12 are
+    lam = (tr + sqrt(D))/2, alpha = (e f - D + 2 m12 sqrt(D))/(f^2 - D)
+    and ell = (e + sqrt(D))/(2 m21); each of the six fields is one Quad
+    built from Fractions.
     """
     det = m.det()
     if det not in (1, -1):
@@ -385,9 +388,6 @@ def spectral(m) -> SpectralData:
         raise SturmdualError("eigenvalues are rational; matrix not primitive unimodular")
     e = m.m22 - m.m11
     f = e + 2 * m.m12
-    # lam - m11 = (e + sqrt(D))/2; right eigenvector (1 - alpha, alpha)
-    # gives alpha = (lam - m11)/(lam - m11 + m12), left eigenvector (1, ell)
-    # gives m11 + ell m21 = lam
     lam = Quad(Fraction(tr, 2), Fraction(s, 2), d)
     norm = f * f - disc
     alpha = Quad(Fraction(e * f - disc, norm), Fraction(2 * m.m12 * s, norm), d)

@@ -381,6 +381,10 @@ def test_is_selfdual_frequency_matches_exact_duality():
 def test_quad_text_roundtrip():
     for x in [TAU, Quad(F(-3, 7)), Quad(0), Quad(0, 1, 2), Quad(2, -3, 7)]:
         assert parse_quad(format_quad(x)) == x
+    assert parse_quad("sqrt(0)") == Quad(0)
+    assert parse_quad("2*sqrt(12)-sqrt(3)") == Quad(0, 3, 3)
+    with pytest.raises(ParseError):
+        parse_quad("sqrt(2)+sqrt(3)")
 
 
 @settings(deadline=None)
