@@ -15,16 +15,19 @@ from . import checks, dualmap, geom, invert, words
 from .checks import KRIEGER_PAIR, verify_cut_project_covering  # noqa: F401
 from .errors import ParseError, SturmdualError
 from .quadfield import (
-    Quad,
+    CF,
     cf_dual_transform,
     cf_expand,
-    dual_frequency_value,
+    dual_frequency_parts,
+    float_parts,
     format_cf,
+    format_parts,
     format_quad,
     is_selfdual_frequency,
     parse_cf,
     parse_quad,
-    spectral,
+    perron_parts,
+    surd_quotients,
 )
 from .subst import Mat2, Substitution, parse_substitution
 
@@ -40,8 +43,9 @@ MAX_STRAND_SEGMENTS = 200000
 # linearly with it, one short run of alpha per beta
 MAX_CUTPROJECT_WIDTH = 200
 
-def _exact(x: Quad) -> dict:
-    return {"exact": format_quad(x), "approx": round(float(x), 12)}
+def _exact(a: int, b: int, n: int, d: int) -> dict:
+    """The report entry of (a + b*sqrt(d)) / n, n > 0, printed from the integers."""
+    return {"exact": format_parts(a, b, n, d), "approx": round(float_parts(a, b, n, d), 12)}
 
 
 @dataclass
@@ -80,27 +84,38 @@ class AnalysisReport:
 
 
 def build_report(sigma: Substitution) -> AnalysisReport:
+    """The exact analysis of sigma in one pass over integers.
+
+    The matrix, determinant, primitivity and decomposition are computed
+    once; the selfdual class reuses them.  The Perron data lam, alpha,
+    alpha' and alpha* are integer triples over one squarefree d, and
+    their entries, like the expansion of alpha, are printed from those
+    integers without building a Quad.
+    """
     m = sigma.matrix()
-    decomposition = invert.decompose(sigma)
+    det = m.det()
+    primitive = m.is_primitive()
+    decomposition = invert._decompose_unimodular(sigma) if det in (1, -1) else None
     report = AnalysisReport(
         substitution=str(sigma),
-        matrix=[list(m.rows()[0]), list(m.rows()[1])],
-        det=m.det(),
-        primitive=sigma.is_primitive(),
+        matrix=[[m.m11, m.m12], [m.m21, m.m22]],
+        det=det,
+        primitive=primitive,
         invertible=decomposition is not None,
         decomposition=invert.format_decomposition(decomposition)
         if decomposition is not None
         else None,
     )
-    if report.primitive and m.det() in (1, -1):
-        spec = spectral(m)
-        report.lam = _exact(spec.lam)
-        report.alpha = _exact(spec.alpha)
-        report.alpha_conj = _exact(spec.alpha_conj)
-        report.cf_alpha = format_cf(cf_expand(spec.alpha))
-        if m.det() == 1 and report.invertible:
-            report.alpha_star = _exact(dual_frequency_value(spec.alpha))
-            sd = invert.selfdual_class(sigma)
+    if primitive and det in (1, -1):
+        d, lam, alpha, _ = perron_parts(m, det)
+        a, b, n = alpha
+        report.lam = _exact(*lam, d)
+        report.alpha = _exact(a, b, n, d)
+        report.alpha_conj = _exact(a, -b, n, d)
+        report.cf_alpha = format_cf(CF(*surd_quotients(a, b, n, d)))
+        if det == 1 and report.invertible:
+            report.alpha_star = _exact(*dual_frequency_parts(a, b, n, d), d)
+            sd = invert._selfdual_class(sigma, m, decomposition)
             report.selfdual_class = sd.kind
             report.witness = (
                 words.format_word(sd.witness) if sd.witness is not None else None

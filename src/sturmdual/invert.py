@@ -26,13 +26,24 @@ _INVERSE_GENERATORS = {
 
 _SWAP_AB = str.maketrans("ab", "ba")
 
+# the images (u(a), u(b)) of u . g from those of u, for each generator g
+_COMPOSE_STEP = {
+    "E": lambda a, b: (b, a),
+    "L": lambda a, b: (a, a + b),
+    "Lt": lambda a, b: (a, b + a),
+}
+
 
 def compose_generators(names) -> Substitution:
-    """Left-to-right composition g1 . g2 . ... (g1 outermost)."""
-    out = Substitution("a", "b")
+    """Left-to-right composition g1 . g2 . ... (g1 outermost).
+
+    The letter images are composed as strings, one generator step at a
+    time, and one Substitution is built at the end.
+    """
+    a, b = "a", "b"
     for name in names:
-        out = out.compose(GENERATORS[name])
-    return out
+        a, b = _COMPOSE_STEP[name](a, b)
+    return Substitution(a, b)
 
 
 def format_decomposition(names) -> str:
@@ -46,10 +57,17 @@ def decompose(sigma: Substitution) -> tuple[str, ...] | None:
     LT when every b is directly followed by a (preferring L); otherwise
     swaps the output letters once (an E factor).  Each L/LT peel
     strictly shrinks the total image length, and two E peels never
-    happen in a row, so the loop terminates.
+    happen in a row, so the loop terminates.  The factors are certified
+    by compose_generators, which composes the two letter images as
+    strings, against sigma's images.
     """
     if not sigma.is_unimodular():
         return None
+    return _decompose_unimodular(sigma)
+
+
+def _decompose_unimodular(sigma: Substitution) -> tuple[str, ...] | None:
+    """decompose for a sigma already known to have determinant +-1."""
     a, b = sigma.img_a, sigma.img_b
     factors: list[str] = []
     last_was_swap = False
@@ -86,7 +104,11 @@ def is_invertible(sigma: Substitution) -> bool:
 
 def inverse(sigma: Substitution) -> FreeEndo:
     """Free-group inverse, composed from inverse generators in reverse."""
-    factors = decompose(sigma)
+    return _inverse(sigma, decompose(sigma))
+
+
+def _inverse(sigma: Substitution, factors: tuple[str, ...] | None) -> FreeEndo:
+    """inverse from the decomposition of sigma (None when not invertible)."""
     if factors is None:
         raise NotInvertibleError(f"{sigma} is not invertible")
     out = FreeEndo("a", "b")
@@ -104,18 +126,30 @@ def reciprocal(sigma: Substitution) -> Substitution:
     Conjugating the inverse by the letter flip a -> a^{-1} turns it
     back into a positive morphism when the determinant is +1.
     """
-    if sigma.det() == -1:
+    m = sigma.matrix()
+    return _reciprocal(sigma, m, _decomposition_of_det_one(sigma, m))
+
+
+def _decomposition_of_det_one(sigma: Substitution, m: Mat2) -> tuple[str, ...] | None:
+    """decompose(sigma) for matrix m of determinant +1, else None, which
+    _reciprocal turns into its determinant or invertibility error."""
+    return _decompose_unimodular(sigma) if m.det() == 1 else None
+
+
+def _reciprocal(sigma: Substitution, m: Mat2, factors: tuple[str, ...] | None) -> Substitution:
+    """reciprocal from the matrix m and the decomposition of sigma."""
+    if m.det() == -1:
         raise DeterminantMinusOneError(
             f"{sigma} has determinant -1; take the square first"
         )
-    inv = inverse(sigma)
+    inv = _inverse(sigma, factors)
     bar_a = words.flip_a(words.invert_word(inv.img_a))
     bar_b = words.flip_a(inv.img_b)
     if not (words.is_positive(bar_a) and words.is_positive(bar_b)):
         raise SturmdualError(f"reciprocal of {sigma} is not positive")
     bar = Substitution(bar_a, bar_b)
     me = GEN_E.matrix()
-    if me.mul(bar.matrix()).mul(me) != sigma.matrix().transpose():
+    if me.mul(bar.matrix()).mul(me) != m.transpose():
         raise SturmdualError(f"matrix of the reciprocal {bar} of {sigma} is wrong")
     return bar
 
@@ -207,13 +241,25 @@ def selfdual_class(sigma: Substitution) -> SelfdualClass:
     conjugate to the letter-swapped reciprocal.  Its agreement with the
     matrix-shape test is the selfdual-forms check of ``sturmdual.checks``.
     """
-    if not sigma.is_primitive():
+    m = sigma.matrix()
+    if not m.is_primitive():
         raise SturmdualError(f"{sigma} is not primitive")
-    bar = reciprocal(sigma)
-    mirrored = GEN_E.compose(bar).compose(GEN_E)
-    if sigma.matrix() == bar.matrix():
+    return _selfdual_class(sigma, m, _decomposition_of_det_one(sigma, m))
+
+
+def _selfdual_class(sigma: Substitution, m: Mat2, factors: tuple[str, ...] | None) -> SelfdualClass:
+    """selfdual_class of a primitive sigma from its matrix m and decomposition.
+
+    _reciprocal certifies that the reciprocal has matrix E M^T E, so
+    sigma and the reciprocal share their matrix exactly when m11 == m22,
+    and sigma and the swapped reciprocal E . bar . E (matrix M^T) exactly
+    when m12 == m21.
+    """
+    bar = _reciprocal(sigma, m, factors)
+    if m.m11 == m.m22:
         result = SelfdualClass("direct", find_conjugator(sigma, bar))
-    elif sigma.matrix() == mirrored.matrix():
+    elif m.m12 == m.m21:
+        mirrored = Substitution(bar.img_b.translate(_SWAP_AB), bar.img_a.translate(_SWAP_AB))
         result = SelfdualClass("mirror", find_conjugator(sigma, mirrored))
     else:
         result = SelfdualClass("not_selfdual", None)

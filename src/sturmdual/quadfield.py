@@ -21,7 +21,13 @@ _FACTOR_LIMIT = 10**14
 
 @lru_cache(maxsize=8192)
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n >= 0 as s*s*d with d squarefree; return (s, d)."""
+    """Write n >= 0 as s*s*d with d squarefree; return (s, d).
+
+    Trial division strips the squares of factors up to 10**4.  A
+    cofactor left above that which is not a square is factored by
+    Miller-Rabin and Pollard-Brent rho when it is at most _FACTOR_LIMIT,
+    and refused otherwise.
+    """
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
@@ -42,12 +48,87 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             raise SturmdualError(
                 "radicand too large for exact square-part extraction"
             )
-        while f * f <= d:
-            while d % (f * f) == 0:
-                d //= f * f
-                s *= f
-            f += 1
+        exponents: dict[int, int] = {}
+        for prime in _prime_factors(d):
+            exponents[prime] = exponents.get(prime, 0) + 1
+        d = 1
+        for prime, e in exponents.items():
+            s *= prime ** (e // 2)
+            d *= prime ** (e % 2)
     return (s, d)
+
+
+# Miller-Rabin with these bases is exact below 3.3 * 10**24
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 3.3 * 10**24."""
+    if n < 2:
+        return False
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    r, t = n - 1, 0
+    while r % 2 == 0:
+        r //= 2
+        t += 1
+    for a in _WITNESSES:
+        x = pow(a, r, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(t - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _brent_factor(n: int) -> int:
+    """A proper factor of an odd composite n > 3 by Pollard-Brent rho."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step back one value at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise SturmdualError(f"no factor of {n} found")
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n >= 1 with multiplicity, in no fixed order."""
+    out = []
+    while n % 2 == 0:
+        out.append(2)
+        n //= 2
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if _is_prime(m):
+            out.append(m)
+        else:
+            g = _brent_factor(m)
+            pending += [g, m // g]
+    return out
 
 
 def _square_part_with_field(n: int, known_field: int) -> tuple[int, int] | None:
@@ -97,6 +178,16 @@ class Quad:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _canonical(cls, p: Fraction, q: Fraction, d: int) -> "Quad":
+        """The Quad p + q*sqrt(d) for parts already in canonical form
+        (d squarefree > 1 when q != 0, d == 0 when q == 0)."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "p", p)
+        object.__setattr__(x, "q", q)
+        object.__setattr__(x, "d", d)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("Quad is immutable")
@@ -250,13 +341,8 @@ class Quad:
         return -(-self).floor()
 
     def __float__(self) -> float:
-        try:
-            value = float(self.p) + float(self.q) * (self.d**0.5)
-            if isfinite(value):
-                return value
-        except OverflowError:
-            pass
-        raise SturmdualError("value too large to convert to a float")
+        p, q = self.p, self.q
+        return _float_terms(p.numerator, p.denominator, q.numerator, q.denominator, self.d)
 
     def __repr__(self):
         return f"Quad({self!s})"
@@ -281,14 +367,49 @@ def sqrt_int(n: int) -> Quad:
 
 def format_quad(x: Quad) -> str:
     """Render as ``p+q*sqrt(d)`` with rationals written n/d."""
-    if x.q == 0:
-        return str(x.p)
-    aq = abs(x.q)
-    root = f"sqrt({x.d})" if aq == 1 else f"{aq}*sqrt({x.d})"
-    if x.p == 0:
-        return root if x.q > 0 else f"-{root}"
-    sign = "+" if x.q > 0 else "-"
-    return f"{x.p}{sign}{root}"
+    p, q = x.p, x.q
+    return _format_terms(p.numerator, p.denominator, q.numerator, q.denominator, x.d)
+
+
+def _format_terms(pn: int, pd: int, qn: int, qd: int, d: int) -> str:
+    """format_quad of pn/pd + (qn/qd)*sqrt(d), both fractions in lowest
+    terms with positive denominators."""
+    p = str(pn) if pd == 1 else f"{pn}/{pd}"
+    if qn == 0:
+        return p
+    aq = -qn if qn < 0 else qn
+    if qd != 1:
+        root = f"{aq}/{qd}*sqrt({d})"
+    else:
+        root = f"sqrt({d})" if aq == 1 else f"{aq}*sqrt({d})"
+    if pn == 0:
+        return root if qn > 0 else f"-{root}"
+    return f"{p}{'+' if qn > 0 else '-'}{root}"
+
+
+def format_parts(a: int, b: int, n: int, d: int) -> str:
+    """format_quad of (a + b*sqrt(d)) / n for n > 0 and squarefree d
+    (d == 0 when b == 0), without building the Quad."""
+    g, h = gcd(a, n), gcd(b, n)
+    return _format_terms(a // g, n // g, b // h, n // h, d)
+
+
+def _float_terms(pn: int, pd: int, qn: int, qd: int, d: int) -> float:
+    """pn/pd + (qn/qd)*sqrt(d) in floats; SturmdualError when it overflows."""
+    try:
+        value = pn / pd + qn / qd * (d**0.5)
+        if isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise SturmdualError("value too large to convert to a float")
+
+
+def float_parts(a: int, b: int, n: int, d: int) -> float:
+    """float((a + b*sqrt(d)) / n) for n > 0, equal to float() of the Quad:
+    int division rounds correctly, so a/n is the float of a/n in lowest
+    terms, and likewise b/n."""
+    return _float_terms(a, n, b, n, d)
 
 
 _QUAD_TERM = re.compile(
@@ -365,22 +486,18 @@ class SpectralData:
         return int(prod.p)
 
 
-def spectral(m) -> SpectralData:
-    """Exact eigendata for a primitive subst.Mat2 with determinant +-1.
+def perron_parts(m, det: int) -> tuple[int, tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]:
+    """Squarefree d and integer triples (a, b, n), value (a + b*sqrt(d)) / n
+    with n > 0, of lam, alpha and ell for a primitive Mat2 of determinant
+    det = +-1 (the caller checks both).
 
     With lam - m11 = (e + sqrt(D))/2, the right eigenvector gives
     alpha = (lam - m11)/(lam - m11 + m12) and the left eigenvector gives
     ell = (lam - m11)/m21.  Closed forms over the integers
     D = tr^2 - 4 det, e = m22 - m11 and f = e + 2 m12 are
     lam = (tr + sqrt(D))/2, alpha = (e f - D + 2 m12 sqrt(D))/(f^2 - D)
-    and ell = (e + sqrt(D))/(2 m21); each of the six fields is one Quad
-    built from Fractions.
+    and ell = (e + sqrt(D))/(2 m21), with sqrt(D) = s sqrt(d).
     """
-    det = m.det()
-    if det not in (1, -1):
-        raise SturmdualError(f"matrix has determinant {det}, not +-1")
-    if not m.is_primitive():
-        raise SturmdualError("matrix is not primitive")
     tr = m.m11 + m.m22
     disc = tr * tr - 4 * det
     s, d = squarefree_decompose(disc)
@@ -388,11 +505,29 @@ def spectral(m) -> SpectralData:
         raise SturmdualError("eigenvalues are rational; matrix not primitive unimodular")
     e = m.m22 - m.m11
     f = e + 2 * m.m12
-    lam = Quad(Fraction(tr, 2), Fraction(s, 2), d)
     norm = f * f - disc
-    alpha = Quad(Fraction(e * f - disc, norm), Fraction(2 * m.m12 * s, norm), d)
-    ell = Quad(Fraction(e, 2 * m.m21), Fraction(s, 2 * m.m21), d)
-    return SpectralData(lam, lam.star(), alpha, alpha.star(), ell, ell.star())
+    alpha = (e * f - disc, 2 * m.m12 * s, norm) if norm > 0 else (disc - e * f, -2 * m.m12 * s, -norm)
+    return d, (tr, s, 2), alpha, (e, s, 2 * m.m21)
+
+
+def spectral(m) -> SpectralData:
+    """Exact eigendata for a primitive subst.Mat2 with determinant +-1.
+
+    The six fields are built as Quads straight from the integer triples
+    of perron_parts and their conjugates, one Fraction per part, with no
+    further normalization.
+    """
+    det = m.det()
+    if det not in (1, -1):
+        raise SturmdualError(f"matrix has determinant {det}, not +-1")
+    if not m.is_primitive():
+        raise SturmdualError("matrix is not primitive")
+    d, *triples = perron_parts(m, det)
+    fields = []
+    for a, b, n in triples:
+        p, q = Fraction(a, n), Fraction(b, n)
+        fields += [Quad._canonical(p, q, d), Quad._canonical(p, -q, d)]
+    return SpectralData(*fields)
 
 
 def dual_frequency(s: SpectralData) -> Quad:
@@ -408,13 +543,31 @@ def dual_frequency(s: SpectralData) -> Quad:
     return dual_frequency_value(s.alpha)
 
 
+def dual_frequency_parts(a: int, b: int, n: int, d: int) -> tuple[int, int, int]:
+    """(alpha' - 1)/(2 alpha' - 1) for alpha = (a + b*sqrt(d)) / n, as the
+    integer triple (a*, b*, n*) over the same d with n* >= 0; n* == 0
+    exactly when alpha' = 1/2.
+
+    alpha* = (a - n - b sqrt(d)) / (2a - n - 2b sqrt(d)), times the
+    conjugate of the denominator above and below.  cf_dual_transform
+    uses it over an unfactored discriminant in place of d.
+    """
+    tp = (a - n) * (2 * a - n) - 2 * b * b * d
+    ts = -b * n
+    tq = (2 * a - n) * (2 * a - n) - 4 * b * b * d
+    return (tp, ts, tq) if tq >= 0 else (-tp, -ts, -tq)
+
+
 def dual_frequency_value(alpha: Quad) -> Quad:
-    """(alpha' - 1) / (2 alpha' - 1) for the algebraic conjugate alpha'."""
-    ac = alpha.star()
-    denom = ac * 2 - 1
-    if denom.sign() == 0:
+    """(alpha' - 1) / (2 alpha' - 1) for the algebraic conjugate alpha'.
+
+    One Quad built from the integer triple of dual_frequency_parts.
+    """
+    a, b, n = alpha._over_one_denominator()
+    tp, ts, tq = dual_frequency_parts(a, b, n, alpha.d)
+    if tq == 0:
         raise SturmdualError("conjugate frequency 1/2 is not quadratic")
-    return (ac - 1) / denom
+    return Quad._canonical(Fraction(tp, tq), Fraction(ts, tq), alpha.d)
 
 
 def is_sturm_number(x: Quad) -> bool:
@@ -538,7 +691,7 @@ def normalize_cf(
     return CF(tuple(pre), tuple(per), value_hint)
 
 
-def _surd_quotients(a: int, b: int, q: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def surd_quotients(a: int, b: int, q: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Shortest preperiod and minimal period of (a + b*sqrt(n)) / q.
 
     Integers with b, q nonzero and n > 0 not a square.  The integer
@@ -572,7 +725,7 @@ def cf_expand(x: Quad) -> CF:
 
     Rational values give a finite expansion (empty period, canonical
     last quotient).  Quadratic irrationals run the integer state
-    (P + sqrt(N)) / Q of ``_surd_quotients`` on x = (a + b*sqrt(d)) / n;
+    (P + sqrt(N)) / Q of ``surd_quotients`` on x = (a + b*sqrt(d)) / n;
     no Quad is built, and x itself becomes the value_hint.
     """
     if x.is_rational:
@@ -586,7 +739,7 @@ def cf_expand(x: Quad) -> CF:
             num, den = den, r
         return CF(tuple(quotients), ())
     a, b, n = x._over_one_denominator()
-    return CF(*_surd_quotients(a, b, n, x.d), x)
+    return CF(*surd_quotients(a, b, n, x.d), x)
 
 
 def _convergents(quotients) -> tuple[int, int, int, int]:
@@ -720,17 +873,13 @@ def cf_dual_transform(c: CF) -> CF:
 
     if not in_unit_interval(s) or in_unit_interval(-s):
         raise SturmdualError(f"{format_cf(c)} is not the expansion of a Sturm number")
-    # (alpha' - 1)/(2 alpha' - 1) = (p - q - s*sqrt(n)) / (2p - q - 2s*sqrt(n)),
-    # times the conjugate of the denominator above and below
-    tp = (p - q) * (2 * p - q) - 2 * s * s * n
-    ts = -s * q
-    tq = (2 * p - q) * (2 * p - q) - 4 * s * s * n
+    tp, ts, tq = dual_frequency_parts(p, s, q, n)
     hint = None
     parts = _square_part_with_field(n, c.value_hint.d) if c.value_hint is not None else None
     if parts is not None:
         root, d = parts
-        hint = Quad(Fraction(tp, tq), Fraction(ts * root, tq), d)
-    expected = CF(*_surd_quotients(tp, ts, tq, n), hint)
+        hint = Quad._canonical(Fraction(tp, tq), Fraction(ts * root, tq), d)
+    expected = CF(*surd_quotients(tp, ts, tq, n), hint)
     for pre, per in _sturm_transform_candidates(c):
         try:
             cand = normalize_cf(pre, per)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -277,6 +278,19 @@ def test_enumerate_selfdual_includes_rho():
     code, out, _ = run_cli("enumerate", "--max-len", "4", "--selfdual")
     assert code == 0
     assert "a->aba,b->ab" in out
+
+
+# sha256 of `enumerate --max-len 8 --json` as printed by the Fraction-based
+# report (Quad values through format_quad and float), before the report
+# was printed from integers
+ENUMERATE_8_JSON_SHA256 = "038b16726cae49817fcdbad89f396c560211bbfdb5b5d7bc6c88b34da52d02db"
+
+
+def test_enumerate_json_bytes_are_pinned():
+    code, out, _ = run_cli("enumerate", "--max-len", "8", "--json")
+    assert code == 0
+    assert len(out.splitlines()) == 1511
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_8_JSON_SHA256
 
 
 SUITES = (

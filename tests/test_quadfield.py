@@ -10,7 +10,7 @@ import sympy
 from sympy.ntheory import continued_fraction_periodic
 from sympy.ntheory.continued_fraction import continued_fraction_reduce
 
-from sturmdual.cli import main
+from sturmdual.cli import build_report, main
 from sturmdual.errors import DeterminantMinusOneError, ParseError, SturmdualError
 from sturmdual.invert import generator_products
 from sturmdual.quadfield import (
@@ -21,7 +21,9 @@ from sturmdual.quadfield import (
     cf_value,
     dual_frequency,
     dual_frequency_value,
+    float_parts,
     format_cf,
+    format_parts,
     format_quad,
     is_selfdual_frequency,
     is_sturm_number,
@@ -50,6 +52,53 @@ def test_squarefree_decompose():
     assert squarefree_decompose(12) == (2, 3)
     assert squarefree_decompose(49) == (7, 1)
     assert squarefree_decompose(5) == (1, 5)
+
+
+def _sympy_square_part(n: int) -> tuple[int, int]:
+    s = d = 1
+    for prime, e in sympy.factorint(n).items():
+        s *= prime ** (e // 2)
+        d *= prime ** (e % 2)
+    return s, d
+
+
+@st.composite
+def radicands(draw):
+    """Radicands up to 10**14; pq and p^2 q with primes p, q > 10**4 leave
+    a cofactor that trial division to 10**4 does not split."""
+    shape = draw(st.sampled_from(["any", "pq", "ppq"]))
+    if shape == "any":
+        return draw(st.integers(1, 10**14))
+    if shape == "pq":
+        p = sympy.nextprime(draw(st.integers(10**4, 10**7)))
+        return p * sympy.prevprime(draw(st.integers(10**4 + 2, 10**14 // p)))
+    p = sympy.nextprime(draw(st.integers(10**4, 9 * 10**4)))
+    return p * p * sympy.prevprime(draw(st.integers(10**4 + 2, 10**14 // (p * p))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(radicands())
+@example(99999999999973)  # prime just below 10**14
+@example(99991 * 99991 * 9973)
+@example(10007 * 9993004877)
+def test_squarefree_decompose_matches_sympy(n):
+    assert squarefree_decompose.__wrapped__(n) == _sympy_square_part(n)
+
+
+def test_squarefree_decompose_refuses_above_the_limit():
+    # two primes near 10**8: the cofactor is past the limit and not a square
+    with pytest.raises(SturmdualError, match="too large"):
+        squarefree_decompose.__wrapped__(100000007 * 100000037)
+    # a square cofactor past the limit needs no factoring
+    assert squarefree_decompose.__wrapped__(100000007**2 * 4) == (200000014, 1)
+
+
+@settings(deadline=None)
+@given(st.integers(-(10**20), 10**20), st.integers(-(10**20), 10**20), st.integers(1, 10**6), st.sampled_from([2, 3, 5, 6, 7, 10, 10**9 + 7]))
+def test_integer_printing_matches_quad(a, b, n, d):
+    x = Quad(F(a, n), F(b, n), d)
+    assert format_parts(a, b, n, d if b else 0) == format_quad(x)
+    assert float_parts(a, b, n, d) == float(x)
 
 
 def test_star_examples():
@@ -311,16 +360,29 @@ def test_dual_frequency_is_transposed_frequency():
     while found < 50:
         m = Mat2(rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 12), 0)
         # adjust the last entry for determinant one
-        if m.m12 * m.m21 % 1 == 0:
-            det_target = 1 + m.m12 * m.m21
-            if det_target % m.m11 != 0:
-                continue
-            m = Mat2(m.m11, m.m12, m.m21, det_target // m.m11)
+        det_target = 1 + m.m12 * m.m21
+        if det_target % m.m11 != 0:
+            continue
+        m = Mat2(m.m11, m.m12, m.m21, det_target // m.m11)
         if m.det() != 1 or not m.is_primitive():
             continue
         s = spectral(m)
         assert dual_frequency(s) == spectral(m.transpose()).alpha
         found += 1
+
+
+def test_report_alpha_star_is_sympy_frequency_of_the_transpose():
+    # build_report prints alpha* from integers; sympy's alpha of M^T is
+    # an oracle that shares none of that arithmetic
+    oracle = {}
+    members = [s for names, s in generator_products(6) if names and s.is_primitive() and s.det() == 1]
+    assert members
+    for sigma in members:
+        rows = sigma.matrix().transpose().rows()
+        if rows not in oracle:
+            oracle[rows] = _sympy_spectral(rows)[2]
+        exact = build_report(sigma).alpha_star["exact"]
+        assert sympy.expand(sympy.radsimp(sympy.sympify(exact) - oracle[rows])) == 0, sigma
 
 
 def test_is_sturm_number():
