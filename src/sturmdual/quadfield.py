@@ -9,6 +9,7 @@ helpers).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -48,9 +49,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             raise SturmdualError(
                 "radicand too large for exact square-part extraction"
             )
-        exponents: dict[int, int] = {}
-        for prime in _prime_factors(d):
-            exponents[prime] = exponents.get(prime, 0) + 1
+        exponents = Counter(_prime_factors(d))
         d = 1
         for prime, e in exponents.items():
             s *= prime ** (e // 2)
@@ -486,7 +485,10 @@ class SpectralData:
         return int(prod.p)
 
 
-def perron_parts(m, det: int) -> tuple[int, tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]:
+Triple = tuple[int, int, int]  # (a, b, n): the value (a + b*sqrt(d)) / n
+
+
+def perron_parts(m, det: int) -> tuple[int, Triple, Triple, Triple]:
     """Squarefree d and integer triples (a, b, n), value (a + b*sqrt(d)) / n
     with n > 0, of lam, alpha and ell for a primitive Mat2 of determinant
     det = +-1 (the caller checks both).
@@ -543,7 +545,7 @@ def dual_frequency(s: SpectralData) -> Quad:
     return dual_frequency_value(s.alpha)
 
 
-def dual_frequency_parts(a: int, b: int, n: int, d: int) -> tuple[int, int, int]:
+def dual_frequency_parts(a: int, b: int, n: int, d: int) -> Triple:
     """(alpha' - 1)/(2 alpha' - 1) for alpha = (a + b*sqrt(d)) / n, as the
     integer triple (a*, b*, n*) over the same d with n* >= 0; n* == 0
     exactly when alpha' = 1/2.
