@@ -18,12 +18,6 @@ GEN_LT = Substitution("a", "ba")
 GENERATORS = {"E": GEN_E, "L": GEN_L, "Lt": GEN_LT}
 GENERATOR_ORDER = ("E", "L", "Lt")
 
-_INVERSE_GENERATORS = {
-    "E": FreeEndo("b", "a"),
-    "L": FreeEndo("a", "Ab"),
-    "Lt": FreeEndo("a", "bA"),
-}
-
 _SWAP_AB = str.maketrans("ab", "ba")
 
 # the images (u(a), u(b)) of u . g from those of u, for each generator g
@@ -31,6 +25,14 @@ _COMPOSE_STEP = {
     "E": lambda a, b: (b, a),
     "L": lambda a, b: (a, a + b),
     "Lt": lambda a, b: (a, b + a),
+}
+
+# the reduced images of u . g^-1 from those of u, for each generator g:
+# E^-1 = E, L^-1 = (a -> a, b -> Ab) and Lt^-1 = (a -> a, b -> bA)
+_INVERSE_STEP = {
+    "E": lambda a, b: (b, a),
+    "L": lambda a, b: (a, words.reduce_concat(words.invert_word(a), b)),
+    "Lt": lambda a, b: (a, words.reduce_concat(b, words.invert_word(a))),
 }
 
 
@@ -108,12 +110,18 @@ def inverse(sigma: Substitution) -> FreeEndo:
 
 
 def _inverse(sigma: Substitution, factors: tuple[str, ...] | None) -> FreeEndo:
-    """inverse from the decomposition of sigma (None when not invertible)."""
+    """inverse from the decomposition of sigma (None when not invertible).
+
+    The inverse generators are composed on the two reduced images as
+    strings, one FreeEndo is built at the end, and sigma(inverse(x)) = x
+    certifies it.
+    """
     if factors is None:
         raise NotInvertibleError(f"{sigma} is not invertible")
-    out = FreeEndo("a", "b")
+    a, b = "a", "b"
     for name in reversed(factors):
-        out = out.compose(_INVERSE_GENERATORS[name])
+        a, b = _INVERSE_STEP[name](a, b)
+    out = FreeEndo(a, b)
     for x in "ab":
         if sigma.apply(out.apply(x)) != x:
             raise SturmdualError(f"{out} is not the inverse of {sigma}")

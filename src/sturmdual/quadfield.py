@@ -18,6 +18,8 @@ from math import gcd, isfinite, isqrt, lcm
 from .errors import DeterminantMinusOneError, ParseError, SturmdualError
 
 _FACTOR_LIMIT = 10**14
+# quotients (preperiod and period together) that one expansion may keep
+MAX_CF_QUOTIENTS = 10**5
 
 
 @lru_cache(maxsize=8192)
@@ -699,8 +701,10 @@ def surd_quotients(a: int, b: int, q: int, n: int) -> tuple[tuple[int, ...], tup
     Integers with b, q nonzero and n > 0 not a square.  The integer
     state (P + sqrt(N)) / Q with Q | N - P^2 gives each quotient as
     (P + r) // Q, or -((P + r) // -Q) - 1 for Q < 0, with r = isqrt(N)
-    taken once; the first repeated state marks the cycle.
+    taken once; the first repeated state marks the cycle.  More than
+    MAX_CF_QUOTIENTS quotients before it raise SturmdualError.
     """
+    given = (a, b, n, q)
     g = gcd(a, b, q)
     a, b, q = a // g, b // g, q // g
     if b < 0:
@@ -713,6 +717,12 @@ def surd_quotients(a: int, b: int, q: int, n: int) -> tuple[tuple[int, ...], tup
     seen: dict[tuple[int, int], int] = {}
     quotients = []
     while (a, q) not in seen:
+        if len(quotients) == MAX_CF_QUOTIENTS:
+            raise SturmdualError(
+                "continued fraction of ({} + {}*sqrt({}))/{} has more than {} quotients".format(
+                    *given, MAX_CF_QUOTIENTS
+                )
+            )
         seen[(a, q)] = len(quotients)
         k = (a + r) // q if q > 0 else -((a + r) // -q) - 1
         quotients.append(k)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import words
 from .errors import ParseError, SturmdualError
@@ -140,7 +141,7 @@ class Substitution(_MorphismBase):
 
     def apply_positive(self, word: str) -> str:
         """Image of a positive word (no reduction needed)."""
-        return "".join(self.image(c) for c in word)
+        return word.translate({97: self.img_a, 98: self.img_b})
 
     def compose(self, other: "Substitution | FreeEndo"):
         """self after other: (self . other)(x) = self(other(x))."""
@@ -248,31 +249,48 @@ def fixed_point_prefix(sigma: Substitution, n: int) -> str:
     return prefix
 
 
-def factor_set(sigma: Substitution, n: int) -> set[str]:
-    """All length-n factors of the substitution language.
+# factor sets kept by factor_set: enough for the sets that one
+# comparison or check asks for more than once, such as the dual's set
+# in each of the two hull comparisons of the reciprocal-dual check
+FACTOR_SET_CACHE_SIZE = 8
+
+
+def _new_factors(sigma: Substitution, n: int):
+    """Yield each length-n factor of the substitution language once, as
+    the closure finds it.
 
     The length-n windows of sigma^k(a) and sigma^k(b), for the first k
     at which both are at least 2n long, are closed under sigma: the
     windows of each member's image join the set until none is new.
     """
     if n < 1:
-        return set()
+        return
     if not sigma.is_primitive():
         raise SturmdualError("factor language requires a primitive substitution")
     wa, wb = "a", "b"
     # ends, since the iterates of a primitive substitution grow
     while min(len(wa), len(wb)) < 2 * n:
         wa, wb = sigma.apply_positive(wa), sigma.apply_positive(wb)
-    found = {w[i : i + n] for w in (wa, wb) for i in range(len(w) - n + 1)}
-    pending = list(found)
-    while pending:
-        image = sigma.apply_positive(pending.pop())
-        for i in range(len(image) - n + 1):
-            window = image[i : i + n]
+    found: set[str] = set()
+    scan = [wa, wb]  # words whose windows are still to be looked at
+    while scan:
+        word = scan.pop()
+        for i in range(len(word) - n + 1):
+            window = word[i : i + n]
             if window not in found:
                 found.add(window)
-                pending.append(window)
-    return found
+                yield window
+                scan.append(sigma.apply_positive(window))
+
+
+@lru_cache(maxsize=FACTOR_SET_CACHE_SIZE)
+def factor_set(sigma: Substitution, n: int) -> frozenset[str]:
+    """All length-n factors of the substitution language (see _new_factors).
+
+    The last FACTOR_SET_CACHE_SIZE results are kept; a frozenset, so
+    that no caller can change what the next one receives.
+    """
+    return frozenset(_new_factors(sigma, n))
 
 
 def factor_language(sigma: Substitution, max_len: int) -> set[str]:
@@ -305,6 +323,14 @@ def hulls_equal_upto(sigma: Substitution, rho: Substitution, max_len: int) -> bo
 
     A necessary condition for equal hulls; conclusive as a refutation.
     Shorter factors are prefixes of length-max_len ones, so comparing
-    the top length suffices.
+    the top length suffices.  Rho's closure is walked against sigma's
+    set and stops at the first factor outside it; when there is none,
+    rho's set is a subset of sigma's, and equal counts make it equal.
     """
-    return factor_set(sigma, max_len) == factor_set(rho, max_len)
+    known = factor_set(sigma, max_len)
+    count = 0
+    for window in _new_factors(rho, max_len):
+        if window not in known:
+            return False
+        count += 1
+    return count == len(known)

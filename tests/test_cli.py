@@ -22,6 +22,7 @@ from sturmdual.cli import (
     main,
     render_svg,
 )
+from sturmdual.quadfield import MAX_CF_QUOTIENTS
 from sturmdual.subst import Mat2, Substitution, parse_substitution
 
 
@@ -98,6 +99,13 @@ def test_exit_codes():
     assert code == 1 and "determinant" in err
     code, _, err = run_cli("decompose", "a->ab,b->baabbaabbaabba")
     assert code == 1
+
+
+def test_cf_refuses_an_expansion_past_the_quotient_cap():
+    # sqrt of the prime 99999999999973 has a period of 1211113 quotients
+    code, out, err = run_cli("cf", "sqrt(99999999999973)")
+    assert (code, out) == (1, "")
+    assert "sqrt(99999999999973)" in err and f"{MAX_CF_QUOTIENTS} quotients" in err
 
 
 def test_rauzy_and_tiling_commands():

@@ -4,7 +4,7 @@ import pytest
 from conftest import FIB, KRIEGER, KRIEGER_PARTNER, RHO
 from sturmdual import words
 from sturmdual.errors import ParseError, SturmdualError
-from sturmdual.invert import GEN_E, conjugate_power_search
+from sturmdual.invert import GEN_E, conjugate_power_search, generator_products
 from sturmdual.subst import (
     IDENTITY,
     FreeEndo,
@@ -21,6 +21,9 @@ from sturmdual.subst import (
 )
 
 signed_words = st.text(alphabet="abAB", max_size=16).map(words.reduce_word)
+positive_words = st.text(alphabet="ab", max_size=40)
+letter_images = st.text(alphabet="ab", min_size=1, max_size=8)
+substitutions = st.builds(Substitution, letter_images, letter_images)
 
 
 def brute_factors(text: str, length: int) -> set[str]:
@@ -38,6 +41,11 @@ def test_apply_freeendo():
     endo = FreeEndo("Ba", "Abb")
     assert endo.apply("ab") == "BaAbb"[0:0] + words.reduce_concat("Ba", "Abb")
     assert endo.apply("A") == words.invert_word("Ba")
+
+
+@given(substitutions, positive_words)
+def test_apply_positive_is_the_letter_by_letter_join(sigma, word):
+    assert sigma.apply_positive(word) == "".join(sigma.image(c) for c in word)
 
 
 def test_compose_and_power():
@@ -102,6 +110,24 @@ def test_factor_set_matches_fixed_point_factors():
             assert factor_language(sigma, n) == census
 
 
+def test_factor_set_matches_census_on_primitive_corpus():
+    # every primitive generator product of length <= 6 against the
+    # windows of a long prefix of its fixed point
+    members = [s for names, s in generator_products(6) if names and s.is_primitive()]
+    assert len(members) > 100
+    for sigma in members:
+        prefix = fixed_point_prefix(sigma, 3000)
+        for n in (1, 4, 9):
+            assert factor_set(sigma, n) == brute_factors(prefix, n), (sigma, n)
+
+
+def test_factor_set_is_a_kept_frozenset():
+    factors = factor_set(RHO, 7)
+    assert isinstance(factors, frozenset)
+    assert factor_set(RHO, 7) is factors
+    assert factor_set(RHO, 0) == frozenset()
+
+
 def test_complexity_profile():
     assert complexity_profile(RHO, 10) == list(range(2, 12))
     assert is_sturmian_language(RHO, 10)
@@ -122,6 +148,25 @@ def test_hulls_equal_upto():
     assert hulls_equal_upto(KRIEGER, KRIEGER_PARTNER, 50)
     flipped = GEN_E.compose(FIB).compose(GEN_E)
     assert not hulls_equal_upto(FIB, flipped, 5)
+    assert hulls_equal_upto(FIB, flipped, 0)
+
+
+def test_hulls_differ_when_one_language_contains_the_other():
+    # Thue-Morse has all four two-letter factors, Fibonacci all but bb:
+    # one direction stops at the foreign factor bb, the other walks every
+    # Fibonacci factor and is refused by the count
+    thue_morse = Substitution("ab", "ba")
+    assert factor_set(FIB, 2) < factor_set(thue_morse, 2)
+    assert not hulls_equal_upto(FIB, thue_morse, 2)
+    assert not hulls_equal_upto(thue_morse, FIB, 2)
+
+
+def test_hulls_equal_upto_requires_primitive():
+    not_primitive = Substitution("a", "ab")
+    with pytest.raises(SturmdualError):
+        hulls_equal_upto(FIB, not_primitive, 3)
+    with pytest.raises(SturmdualError):
+        hulls_equal_upto(not_primitive, FIB, 3)
 
 
 def test_krieger_images_agree_on_two_letter_words():
