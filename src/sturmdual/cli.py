@@ -8,6 +8,7 @@ import json
 import re
 import sys
 from dataclasses import asdict, dataclass, fields
+from math import isfinite
 from time import perf_counter
 
 from . import checks, dualmap, geom, invert, words
@@ -42,6 +43,9 @@ MAX_STRAND_SEGMENTS = 200000
 # cap on the width of a cutproject range: the lattice points tested grow
 # linearly with it, one short run of alpha per beta
 MAX_CUTPROJECT_WIDTH = 200
+# cap on sturmian --length: a letter is one Quad add and one floor or
+# ceil, so 10**5 letters of short literals take about a second
+MAX_STURMIAN_LENGTH = 10**5
 
 def _exact(a: int, b: int, n: int, d: int) -> dict:
     """The report entry of (a + b*sqrt(d)) / n, n > 0, printed from the integers."""
@@ -295,6 +299,8 @@ def cmd_cutproject(args, out) -> int:
 
 
 def cmd_sturmian(args, out) -> int:
+    if not 1 <= args.length <= MAX_STURMIAN_LENGTH:
+        raise SturmdualError(f"--length {args.length} is outside 1..{MAX_STURMIAN_LENGTH}")
     alpha = parse_quad(args.alpha)
     rho = parse_quad(args.rho) if args.rho is not None else alpha
     convention = "upper" if args.upper else "lower"
@@ -414,6 +420,8 @@ _COLORS = {"a": "#4a78b8", "b": "#d98032"}
 
 
 def _svg_document(width: float, height: float, body: list[str]) -> str:
+    if not (isfinite(width) and isfinite(height)):
+        raise SturmdualError(f"SVG size {width} x {height} is not finite; lower the scale")
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.1f}" '
         f'height="{height:.1f}" viewBox="0 0 {width:.1f} {height:.1f}">\n'
@@ -444,8 +452,8 @@ def render_svg(sigma: Substitution, target: str, iterations: int, scale: float) 
     """Deterministic SVG for strands, dual strands, tilings and windows."""
     if iterations < 0:
         raise SturmdualError("iterations must be >= 0")
-    if scale <= 0:
-        raise SturmdualError("scale must be positive")
+    if not (isfinite(scale) and scale > 0):
+        raise SturmdualError(f"scale {scale} is not a finite positive number")
     if target in ("strand", "dual_strand"):
         dual = target == "dual_strand"
         m = sigma.matrix().transpose() if dual else sigma.matrix()

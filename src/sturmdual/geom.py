@@ -450,15 +450,17 @@ def cut_project_verify(sigma: Substitution, depth: int, phys_range) -> bool:
 
 def _boundary_vertex(lat: Lattice, z: Quad, prefix_word: str) -> Quad | None:
     """Physical coordinate of the unique lattice point with internal
-    coordinate z, when that point is a vertex of the fixed-point tiling."""
-    beta_frac = z.q / lat.ell_conj.q if lat.ell_conj.q else None
-    if beta_frac is None or beta_frac.denominator != 1 or z.d not in (0, lat.ell_conj.d):
+    coordinate z, when that point is a vertex of the fixed-point tiling.
+
+    z = alpha + beta*ell' gives beta = (z - z*) / (ell' - ell'*) and
+    alpha = z - beta*ell', which must both be integers."""
+    if z.d not in (0, lat.ell_conj.d):
         return None
-    beta = int(beta_frac)
-    alpha_frac = z.p - beta * lat.ell_conj.p
-    if alpha_frac.denominator != 1:
+    beta_q = (z - z.star()) / (lat.ell_conj - lat.ell_conj.star())
+    alpha_q = z - beta_q * lat.ell_conj
+    alpha, beta = alpha_q.floor(), beta_q.floor()
+    if (alpha_q, beta_q) != (alpha, beta):
         return None
-    alpha = int(alpha_frac)
     m = alpha + beta
     if m < 0 or m > len(prefix_word):
         return None
@@ -478,7 +480,8 @@ def sturmian_word(alpha: Quad, rho, convention: str, n: int) -> str:
     partition at 1 - alpha.
 
     convention "lower" uses [0, 1-alpha) vs [1-alpha, 1); "upper" uses
-    (0, 1-alpha] vs (1-alpha, 1].
+    (0, 1-alpha] vs (1-alpha, 1].  Letter k is "ab"[f(x + alpha) - f(x)]
+    at x = rho + k*alpha, with f = floor for "lower" and ceil for "upper".
     """
     if convention not in ("lower", "upper"):
         raise ValueError("convention must be 'lower' or 'upper'")
@@ -487,17 +490,15 @@ def sturmian_word(alpha: Quad, rho, convention: str, n: int) -> str:
     alpha = _as_quad(alpha)
     if alpha.is_rational or not (QUAD_ZERO < alpha < QUAD_ONE):
         raise SturmdualError("slope must be a quadratic irrational in (0, 1)")
-    threshold = QUAD_ONE - alpha
+    f = Quad.floor if convention == "lower" else Quad.ceil
     x = _as_quad(rho)
+    level = f(x)
     out = []
     for _ in range(n):
-        if convention == "lower":
-            frac = x - x.floor()
-            out.append("a" if frac < threshold else "b")
-        else:
-            frac = x - (x.ceil() - 1)
-            out.append("a" if frac <= threshold else "b")
         x = x + alpha
+        nxt = f(x)
+        out.append("ab"[nxt - level])
+        level = nxt
     return "".join(out)
 
 

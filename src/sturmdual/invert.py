@@ -323,17 +323,17 @@ def generator_products(max_len: int):
     word w' give the same substitution, then so do w.g and the earlier
     w'.g, so no extension of a repeat is a first occurrence.
     """
-    frontier: list[tuple[tuple[str, ...], Substitution]] = [((), IDENTITY)]
-    seen = {(IDENTITY.img_a, IDENTITY.img_b)}
-    yield frontier[0]
+    yield (), IDENTITY
+    frontier = [((), ("a", "b"))]
+    seen = {("a", "b")}
     for _ in range(max_len):
-        nxt: list[tuple[tuple[str, ...], Substitution]] = []
-        for names, sub in frontier:
+        nxt = []
+        for names, images in frontier:
             for gname in GENERATOR_ORDER:
-                comp = sub.compose(GENERATORS[gname])
-                k = (comp.img_a, comp.img_b)
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append((names + (gname,), comp))
-                    yield nxt[-1]
+                step = _COMPOSE_STEP[gname](*images)
+                if step not in seen:
+                    seen.add(step)
+                    word = names + (gname,)
+                    nxt.append((word, step))
+                    yield word, Substitution(*step)
         frontier = nxt

@@ -153,6 +153,17 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def _surd_sign(a, b, n: int) -> int:
+    """Sign of a + b*sqrt(n) for integers or rationals a and b, and n > 0
+    not a square (any n when b == 0)."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    return sa if a * a > b * b * n else sb
+
+
 class Quad:
     """An element p + q*sqrt(d) of a real quadratic field, exact.
 
@@ -275,19 +286,7 @@ class Quad:
     # -- order and equality ----------------------------------------------
 
     def sign(self) -> int:
-        p, q, d = self.p, self.q, self.d
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # opposite signs: compare p^2 against q^2 d (cannot tie, d squarefree > 1)
-        if p * p > q * q * d:
-            return 1 if p > 0 else -1
-        return 1 if q > 0 else -1
+        return _surd_sign(self.p, self.q, self.d)
 
     def _cmp(self, other) -> int:
         o = self._coerce(other)
@@ -342,8 +341,7 @@ class Quad:
         return -(-self).floor()
 
     def __float__(self) -> float:
-        p, q = self.p, self.q
-        return _float_terms(p.numerator, p.denominator, q.numerator, q.denominator, self.d)
+        return float_parts(*self._over_one_denominator(), self.d)
 
     def __repr__(self):
         return f"Quad({self!s})"
@@ -358,23 +356,20 @@ QUAD_ONE = Quad(1)
 
 def sqrt_int(n: int) -> Quad:
     """Exact sqrt(n) for n >= 0 as a Quad."""
-    s, d = squarefree_decompose(n)
-    if d == 0:
-        return Quad(0)
-    if d == 1:
-        return Quad(s)
-    return Quad(0, s, d)
+    return Quad(0, 1, n) if n else QUAD_ZERO
 
 
 def format_quad(x: Quad) -> str:
     """Render as ``p+q*sqrt(d)`` with rationals written n/d."""
-    p, q = x.p, x.q
-    return _format_terms(p.numerator, p.denominator, q.numerator, q.denominator, x.d)
+    return format_parts(*x._over_one_denominator(), x.d)
 
 
-def _format_terms(pn: int, pd: int, qn: int, qd: int, d: int) -> str:
-    """format_quad of pn/pd + (qn/qd)*sqrt(d), both fractions in lowest
-    terms with positive denominators."""
+def format_parts(a: int, b: int, n: int, d: int) -> str:
+    """The ``p+q*sqrt(d)`` text of (a + b*sqrt(d)) / n for n > 0 and
+    squarefree d (d == 0 when b == 0), each part in lowest terms: the
+    one printer, behind format_quad and the integer reports alike."""
+    g, h = gcd(a, n), gcd(b, n)
+    pn, pd, qn, qd = a // g, n // g, b // h, n // h
     p = str(pn) if pd == 1 else f"{pn}/{pd}"
     if qn == 0:
         return p
@@ -388,29 +383,17 @@ def _format_terms(pn: int, pd: int, qn: int, qd: int, d: int) -> str:
     return f"{p}{'+' if qn > 0 else '-'}{root}"
 
 
-def format_parts(a: int, b: int, n: int, d: int) -> str:
-    """format_quad of (a + b*sqrt(d)) / n for n > 0 and squarefree d
-    (d == 0 when b == 0), without building the Quad."""
-    g, h = gcd(a, n), gcd(b, n)
-    return _format_terms(a // g, n // g, b // h, n // h, d)
-
-
-def _float_terms(pn: int, pd: int, qn: int, qd: int, d: int) -> float:
-    """pn/pd + (qn/qd)*sqrt(d) in floats; SturmdualError when it overflows."""
+def float_parts(a: int, b: int, n: int, d: int) -> float:
+    """float((a + b*sqrt(d)) / n) for n > 0, behind float() of a Quad too:
+    int division rounds correctly, so a/n is the float of a/n in lowest
+    terms, and likewise b/n.  SturmdualError when it overflows."""
     try:
-        value = pn / pd + qn / qd * (d**0.5)
+        value = a / n + b / n * (d**0.5)
         if isfinite(value):
             return value
     except OverflowError:
         pass
     raise SturmdualError("value too large to convert to a float")
-
-
-def float_parts(a: int, b: int, n: int, d: int) -> float:
-    """float((a + b*sqrt(d)) / n) for n > 0, equal to float() of the Quad:
-    int division rounds correctly, so a/n is the float of a/n in lowest
-    terms, and likewise b/n."""
-    return _float_terms(a, n, b, n, d)
 
 
 _QUAD_TERM = re.compile(
@@ -576,12 +559,15 @@ def dual_frequency_value(alpha: Quad) -> Quad:
 
 def is_sturm_number(x: Quad) -> bool:
     """Quadratic irrational in (0,1) whose conjugate falls outside (0,1)."""
-    if x.is_rational:
-        return False
-    if not (QUAD_ZERO < x < QUAD_ONE):
-        return False
-    c = x.star()
-    return not (QUAD_ZERO < c < QUAD_ONE)
+    return _is_sturm(*x._over_one_denominator(), x.d)
+
+
+def _is_sturm(p: int, s: int, q: int, n: int) -> bool:
+    """Whether (p + s*sqrt(n)) / q, q > 0, lies in (0, 1) with its
+    conjugate (p - s*sqrt(n)) / q outside; always False when s == 0."""
+    # 0 < (p + t*sqrt(n)) / q < 1 for t = s and t = -s
+    inside, conj_inside = (_surd_sign(p, t, n) > 0 > _surd_sign(p - q, t, n) for t in (s, -s))
+    return inside and not conj_inside
 
 
 # ---------------------------------------------------------------------------
@@ -852,16 +838,6 @@ def _sturm_transform_candidates(c: CF):
                     yield (0, 1 + nk), out_per
 
 
-def _surd_sign(a: int, b: int, n: int) -> int:
-    """Sign of a + b*sqrt(n) for integers a, b and n > 0 not a square."""
-    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
-    if sb == 0 or sa == sb:
-        return sa
-    if sa == 0:
-        return sb
-    return sa if a * a > b * b * n else sb
-
-
 def cf_dual_transform(c: CF) -> CF:
     """Rewrite the expansion of a Sturm number into that of its dual frequency.
 
@@ -879,11 +855,7 @@ def cf_dual_transform(c: CF) -> CF:
     p, s, q, n = _cf_surd(c)
     if q < 0:
         p, s, q = -p, -s, -q
-
-    def in_unit_interval(t: int) -> bool:  # 0 < (p + t*sqrt(n)) / q < 1
-        return _surd_sign(p, t, n) > 0 > _surd_sign(p - q, t, n)
-
-    if not in_unit_interval(s) or in_unit_interval(-s):
+    if not _is_sturm(p, s, q, n):
         raise SturmdualError(f"{format_cf(c)} is not the expansion of a Sturm number")
     tp, ts, tq = dual_frequency_parts(p, s, q, n)
     hint = None

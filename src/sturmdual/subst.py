@@ -106,6 +106,10 @@ class _MorphismBase:
             out = words.reduce_concat(out, piece)
         return out
 
+    def compose(self, other: "_MorphismBase") -> "FreeEndo":
+        """self after other: (self . other)(x) = self(other(x)), freely reduced."""
+        return FreeEndo(self.apply(other.img_a), self.apply(other.img_b))
+
     def power(self, n: int):
         if n < 1:
             raise ValueError("power must be >= 1")
@@ -144,12 +148,12 @@ class Substitution(_MorphismBase):
         return word.translate({97: self.img_a, 98: self.img_b})
 
     def compose(self, other: "Substitution | FreeEndo"):
-        """self after other: (self . other)(x) = self(other(x))."""
+        """self after other; a Substitution when other is one too."""
         if isinstance(other, Substitution):
             return Substitution(
                 self.apply_positive(other.img_a), self.apply_positive(other.img_b)
             )
-        return FreeEndo(self.apply(other.img_a), self.apply(other.img_b))
+        return super().compose(other)
 
     def is_primitive(self) -> bool:
         return self.matrix().is_primitive()
@@ -168,9 +172,6 @@ class FreeEndo(_MorphismBase):
     def __post_init__(self):
         words.check_reduced(self.img_a)
         words.check_reduced(self.img_b)
-
-    def compose(self, other: "Substitution | FreeEndo") -> "FreeEndo":
-        return FreeEndo(self.apply(other.img_a), self.apply(other.img_b))
 
     def __str__(self):
         return f"a->{words.format_word(self.img_a)},b->{words.format_word(self.img_b)}"

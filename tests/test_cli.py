@@ -22,6 +22,7 @@ from sturmdual.cli import (
     main,
     render_svg,
 )
+from sturmdual.errors import SturmdualError
 from sturmdual.quadfield import MAX_CF_QUOTIENTS
 from sturmdual.subst import Mat2, Substitution, parse_substitution
 
@@ -245,6 +246,17 @@ def test_enumerate_deterministic_and_counts():
         ("render", "a->aba,b->ab", "--target", "rauzy", "--iterations", "-1"),
         ("cutproject", "a->aba,b->ab", "--range", "0", "1000000000"),
         ("enumerate", "--max-len", "11"),
+        ("sturmian", "sqrt(2)-1", "-n", "0"),
+        ("sturmian", "sqrt(2)-1", "-n", "-3"),
+        ("sturmian", "sqrt(2)-1", "-n", str(cli.MAX_STURMIAN_LENGTH + 1)),
+    ]
+    + [
+        # a scale that is not finite and positive, or that overflows the
+        # SVG size, would print nan or inf; --scale=-inf because a
+        # dash-led word after a bare --scale reads as an option
+        ("render", "a->aba,b->ab", "--target", target, f"--scale={scale}")
+        for target in ("strand", "dual_strand", "tiling", "rauzy")
+        for scale in ("nan", "inf", "-inf", "1e308")
     ],
 )
 def test_oversized_runs_are_refused_before_the_work(argv):
@@ -253,6 +265,28 @@ def test_oversized_runs_are_refused_before_the_work(argv):
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "Traceback" not in err
     assert time.perf_counter() - start < 5
+
+
+def test_sturmian_length_bounds(monkeypatch):
+    assert run_cli("sturmian", "sqrt(2)-1", "-n", "1") == (0, "a\n", "")
+
+    # past the cap, refused before any letter is built
+    def build_letters(*args):
+        raise AssertionError("a letter was built")
+
+    monkeypatch.setattr(cli.geom, "sturmian_word", build_letters)
+    code, out, err = run_cli("sturmian", "sqrt(2)-1", "-n", str(cli.MAX_STURMIAN_LENGTH + 1))
+    assert (code, out) == (1, "") and f"1..{cli.MAX_STURMIAN_LENGTH}" in err
+
+
+def test_render_refuses_a_bad_scale_before_the_work(monkeypatch):
+    def decompose(*args):
+        raise AssertionError("the window was built")
+
+    monkeypatch.setattr(cli.geom, "rauzy_decomposition", decompose)
+    for scale in (float("nan"), float("inf"), float("-inf"), 0.0):
+        with pytest.raises(SturmdualError, match="is not a finite positive number"):
+            render_svg(parse_substitution("a->aba,b->ab"), "rauzy", 0, scale)
 
 
 def test_size_caps_count_every_level(monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import FIB, RHO
 from sturmdual.cli import main
@@ -15,6 +16,7 @@ from sturmdual.errors import (
 )
 from sturmdual.geom import (
     DigitMatrix,
+    _boundary_vertex,
     characteristic_word,
     covering_depth,
     cut_project_points,
@@ -354,6 +356,71 @@ def test_sturmian_upper_vs_lower_generic():
     assert sturmian_word(ALPHA_RHO, x, "lower", 40) == sturmian_word(
         ALPHA_RHO, x, "upper", 40
     )
+
+
+def _sympy_rotation_word(alpha, rho, convention: str, n: int) -> str:
+    """The rotation word by its definition: the fractional part of x,
+    taken in [0, 1) for "lower" and in (0, 1] for "upper", against the
+    threshold 1 - alpha, with sympy's exact floor and ceiling."""
+    threshold, x, out = 1 - alpha, rho, []
+    for _ in range(n):
+        if convention == "lower":
+            out.append("a" if x - sympy.floor(x) < threshold else "b")
+        else:
+            out.append("a" if x - (sympy.ceiling(x) - 1) <= threshold else "b")
+        x += alpha
+    return "".join(out)
+
+
+def _sympy_value(x: Quad):
+    return sympy.Rational(x.p.numerator, x.p.denominator) + sympy.Rational(
+        x.q.numerator, x.q.denominator
+    ) * sympy.sqrt(x.d)
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    small_fractions,
+    small_fractions.filter(bool),
+    st.sampled_from([2, 3, 5, 6, 7]),
+    small_fractions,
+    small_fractions,
+    st.integers(1, 24),
+)
+# starting points on the partition boundary, where the conventions differ
+@example(F(3, 2), F(-1, 2), 5, F(0), F(0), 12)
+@example(F(3, 2), F(-1, 2), 5, F(-3, 2), F(1, 2), 12)
+@example(F(3, 2), F(-1, 2), 5, F(-1, 2), F(1, 2), 12)
+def test_sturmian_word_matches_the_fractional_part_definition(p, q, d, r0, r1, n):
+    alpha = Quad(p, q, d)
+    alpha = alpha - alpha.floor()
+    rho = Quad(r0, r1, d)
+    for convention in ("lower", "upper"):
+        want = _sympy_rotation_word(_sympy_value(alpha), _sympy_value(rho), convention, n)
+        assert sturmian_word(alpha, rho, convention, n) == want, convention
+
+
+def test_boundary_vertex_solves_for_the_lattice_point():
+    sigma = Substitution("ab", "bab")
+    lat = lattice_for(sigma)
+    word = fixed_point_prefix(sigma, 12)  # abbabbababba
+    assert word.startswith("abb")
+    # the window [ell', 1]: its endpoint 1 is the internal coordinate of
+    # the lattice point (1, 0), the vertex after the prefix a
+    assert rauzy_decomposition(sigma).window() == (lat.ell_conj, Quad(1))
+    assert _boundary_vertex(lat, Quad(1), word) == Quad(1)
+    # ell' is the point (0, 1), but no prefix has no a and one b
+    assert _boundary_vertex(lat, lat.ell_conj, word) is None
+    # 1 + 2 ell' is (1, 2), the prefix abb, at 1 + 2 ell = 2 + sqrt(5)
+    assert _boundary_vertex(lat, 1 + 2 * lat.ell_conj, word) == Quad(2, 1, 5)
+    assert _boundary_vertex(lat, 2 + lat.ell_conj, word) is None  # not a prefix count
+    # outside the lattice's field, and off the lattice
+    assert _boundary_vertex(lat, Quad(0, 1, 2), word) is None
+    assert _boundary_vertex(lat, lat.ell_conj / 2, word) is None  # beta = 1/2
+    assert _boundary_vertex(lat, F(1, 2) + lat.ell_conj, word) is None  # alpha = 1/2
 
 
 def test_characteristic_factors_match_language():

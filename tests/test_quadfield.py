@@ -402,6 +402,50 @@ def test_is_sturm_number():
     assert not is_sturm_number(Quad(F(1, 2), F(1, 10), 5))  # conjugate inside (0,1)
 
 
+def _sympy_is_sturm(x: Quad) -> bool:
+    root = sympy.sqrt(x.d)
+    p = sympy.Rational(x.p.numerator, x.p.denominator)
+    q = sympy.Rational(x.q.numerator, x.q.denominator)
+    value, conj = p + q * root, p - q * root
+    return (
+        not value.is_rational
+        and bool(0 < value) and bool(value < 1)
+        and not (bool(0 < conj) and bool(conj < 1))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fractions(min_value=-3, max_value=3, max_denominator=8),
+    st.fractions(min_value=-3, max_value=3, max_denominator=8),
+    st.integers(2, 60),
+)
+@example(F(3, 2), F(-1, 2), 5)  # a Sturm number
+@example(F(1, 2), F(1, 10), 5)  # its conjugate inside (0, 1) too
+@example(F(3, 2), F(1, 2), 5)  # its conjugate alone inside (0, 1)
+@example(F(1, 2), F(0), 5)  # rational
+def test_is_sturm_number_matches_sympy(p, q, d):
+    # the value and its fractional part, so that (0, 1) is often hit
+    x = Quad(p, q, d)
+    for y in (x, x - x.floor()):
+        assert is_sturm_number(y) == _sympy_is_sturm(y), y
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    preperiods | st.lists(st.integers(1, 9), max_size=3).map(lambda rest: [0, *rest]),
+    st.lists(st.integers(1, 9), min_size=1, max_size=5),
+)
+def test_cf_dual_transform_refuses_exactly_the_non_sturm_numbers(pre, per):
+    c = normalize_cf(tuple(pre), tuple(per))
+    try:
+        cf_dual_transform(c)
+        refused = False
+    except SturmdualError as exc:
+        refused = "is not the expansion of a Sturm number" in str(exc)
+    assert refused == (not is_sturm_number(cf_value(c))), format_cf(c)
+
+
 def test_cf_dual_transform_examples():
     fixed = cf_dual_transform(CF((0, 2), (1,)))
     assert fixed == CF((0, 2), (1,))
