@@ -46,6 +46,11 @@ MAX_CUTPROJECT_WIDTH = 200
 # cap on sturmian --length: a letter is one Quad add and one floor or
 # ceil, so 10**5 letters of short literals take about a second
 MAX_STURMIAN_LENGTH = 10**5
+# cap on the letters of a substitution's two images together, and of its
+# square under --square: inverse, selfdual, rauzy and stardual grow
+# faster than linearly in it; on random invertible words at the cap the
+# slowest, stardual, took under 4 s on a 2-vCPU host (5.7 s at 5000)
+MAX_SUBSTITUTION_LETTERS = 3000
 
 def _exact(a: int, b: int, n: int, d: int) -> dict:
     """The report entry of (a + b*sqrt(d)) / n, n > 0, printed from the integers."""
@@ -146,9 +151,26 @@ def _print_report(report: AnalysisReport, as_json: bool, out):
 # ---------------------------------------------------------------------------
 
 
+def _check_letters(letters: int, what: str) -> None:
+    if letters > MAX_SUBSTITUTION_LETTERS:
+        raise SturmdualError(
+            f"{what} has {letters} letters, more than the cap of {MAX_SUBSTITUTION_LETTERS}"
+        )
+
+
 def _load_subst(text: str, square: bool = False) -> Substitution:
+    """The substitution of text, or its square, within the letter cap.
+
+    The square's letters are counted from the matrix before it is built:
+    sigma^2(a) and sigma^2(b) together hold sum(M^2 (1, 1)) letters.
+    """
     sigma = parse_substitution(text)
-    return sigma.power(2) if square else sigma
+    _check_letters(len(sigma.img_a) + len(sigma.img_b), "the substitution")
+    if not square:
+        return sigma
+    m = sigma.matrix()
+    _check_letters(sum(m.apply(m.apply((1, 1)))), "its square")
+    return sigma.power(2)
 
 
 def _check_levels(m: Mat2, option: str, levels: int, cap: int, pieces: str) -> None:
@@ -199,8 +221,7 @@ def cmd_decompose(args, out) -> int:
 
 
 def cmd_conjugate(args, out) -> int:
-    sigma = parse_substitution(args.spec)
-    rho = parse_substitution(args.other)
+    sigma, rho = _load_subst(args.spec), _load_subst(args.other)
     if sigma.matrix() != rho.matrix():
         out.write("none\n")
         return 0

@@ -9,7 +9,6 @@ helpers).
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -27,9 +26,12 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n >= 0 as s*s*d with d squarefree; return (s, d).
 
     Trial division strips the squares of factors up to 10**4.  A
-    cofactor left above that which is not a square is factored by
-    Miller-Rabin and Pollard-Brent rho when it is at most _FACTOR_LIMIT,
-    and refused otherwise.
+    cofactor left above that which is not a square is refused when it
+    exceeds _FACTOR_LIMIT.  Otherwise it is trial-divided by every f with
+    f**3 <= _FACTOR_LIMIT, each exponent split by parity between s and d.
+    What remains has no prime factor below the cube root of the limit
+    yet is at most the limit, so it is 1, p, p*q or p*p for primes p, q,
+    and one isqrt tells the square apart.
     """
     if n < 0:
         raise ValueError("negative radicand")
@@ -51,85 +53,22 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             raise SturmdualError(
                 "radicand too large for exact square-part extraction"
             )
-        exponents = Counter(_prime_factors(d))
-        d = 1
-        for prime, e in exponents.items():
-            s *= prime ** (e // 2)
-            d *= prime ** (e % 2)
+        rest, d = d, 1
+        # one past the float cube root, so rounding cannot drop a factor
+        for f in range(2, int(_FACTOR_LIMIT ** (1 / 3)) + 2):
+            if rest % f == 0:
+                e = 0
+                while rest % f == 0:
+                    rest //= f
+                    e += 1
+                s *= f ** (e // 2)
+                d *= f ** (e % 2)
+        root = isqrt(rest)
+        if root * root == rest:
+            s *= root
+        else:
+            d *= rest
     return (s, d)
-
-
-# Miller-Rabin with these bases is exact below 3.3 * 10**24
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3 * 10**24."""
-    if n < 2:
-        return False
-    for p in _WITNESSES:
-        if n % p == 0:
-            return n == p
-    r, t = n - 1, 0
-    while r % 2 == 0:
-        r //= 2
-        t += 1
-    for a in _WITNESSES:
-        x = pow(a, r, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(t - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _brent_factor(n: int) -> int:
-    """A proper factor of an odd composite n > 3 by Pollard-Brent rho."""
-    for c in range(1, n):
-        y, r, q, g = 2, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:  # the batch overshot: step back one value at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise SturmdualError(f"no factor of {n} found")
-
-
-def _prime_factors(n: int) -> list[int]:
-    """The prime factors of n >= 1 with multiplicity, in no fixed order."""
-    out = []
-    while n % 2 == 0:
-        out.append(2)
-        n //= 2
-    pending = [n] if n > 1 else []
-    while pending:
-        m = pending.pop()
-        if _is_prime(m):
-            out.append(m)
-        else:
-            g = _brent_factor(m)
-            pending += [g, m // g]
-    return out
 
 
 def _square_part_with_field(n: int, known_field: int) -> tuple[int, int] | None:
@@ -662,9 +601,7 @@ def parse_cf(text: str) -> CF:
         raise ParseError(str(exc)) from exc
 
 
-def normalize_cf(
-    pre: tuple[int, ...], per: tuple[int, ...], value_hint: "Quad | None" = None
-) -> CF:
+def normalize_cf(pre: tuple[int, ...], per: tuple[int, ...]) -> CF:
     """Canonicalize: minimal period root, shortest preperiod."""
     per = list(per)
     pre = list(pre)
@@ -678,7 +615,7 @@ def normalize_cf(
         while pre and pre[-1] == per[-1]:
             pre.pop()
             per = [per[-1]] + per[:-1]
-    return CF(tuple(pre), tuple(per), value_hint)
+    return CF(tuple(pre), tuple(per))
 
 
 def surd_quotients(a: int, b: int, q: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -766,21 +703,19 @@ def _cf_surd(c: CF) -> tuple[int, int, int, int]:
     return a * b - p1 * q1 * n, (p1 * q0 - p0 * q1) * v, b * b - q1 * q1 * n, n
 
 
-def cf_value(c: CF, radicand: int | None = None) -> Quad:
+def cf_value(c: CF) -> Quad:
     """Exact value of a continued fraction; inverse of cf_expand.
 
     Integer convergents give the value as (P + S*sqrt(N)) / Q (a
-    fraction for finite expansions), from which one Quad is built.  A
-    known squarefree radicand (taken from value_hint when present) lets
-    N be resolved without factoring, which keeps long periods exact.
+    fraction for finite expansions), from which one Quad is built.  The
+    squarefree radicand of value_hint, when present, lets N be resolved
+    without factoring, which keeps long periods exact.
     """
     if not c.period:
         p1, _, q1, _ = _convergents(c.preperiod)
         return Quad(Fraction(p1, q1))
-    if radicand is None and c.value_hint is not None:
-        radicand = c.value_hint.d
     p, s, q, n = _cf_surd(c)
-    parts = _square_part_with_field(n, radicand) if radicand else None
+    parts = _square_part_with_field(n, c.value_hint.d) if c.value_hint is not None else None
     if parts is None:
         parts = squarefree_decompose(n)
     root, d = parts

@@ -257,6 +257,13 @@ def test_enumerate_deterministic_and_counts():
         ("render", "a->aba,b->ab", "--target", target, f"--scale={scale}")
         for target in ("strand", "dual_strand", "tiling", "rauzy")
         for scale in ("nan", "inf", "-inf", "1e308")
+    ]
+    + [
+        # one letter over the cap
+        ("inverse", "a->a,b->" + "a" * (cli.MAX_SUBSTITUTION_LETTERS - 1) + "b"),
+        ("conjugate", "a->ab,b->a", "a->b,b->" + "a" * cli.MAX_SUBSTITUTION_LETTERS),
+        # 104 letters, but the square holds 100**2 + 2*100 + 5
+        ("dual", "a->" + "a" * 100 + "b,b->ab", "--square"),
     ],
 )
 def test_oversized_runs_are_refused_before_the_work(argv):
@@ -277,6 +284,19 @@ def test_sturmian_length_bounds(monkeypatch):
     monkeypatch.setattr(cli.geom, "sturmian_word", build_letters)
     code, out, err = run_cli("sturmian", "sqrt(2)-1", "-n", str(cli.MAX_STURMIAN_LENGTH + 1))
     assert (code, out) == (1, "") and f"1..{cli.MAX_STURMIAN_LENGTH}" in err
+
+
+def test_square_is_refused_before_it_is_built(monkeypatch):
+    def build_square(*args):
+        raise AssertionError("the square was built")
+
+    monkeypatch.setattr(Substitution, "power", build_square)
+    code, out, err = run_cli("dual", "a->" + "a" * 100 + "b,b->ab", "--square")
+    assert (code, out) == (1, "")
+    assert err == f"error: its square has 10205 letters, more than the cap of {cli.MAX_SUBSTITUTION_LETTERS}\n"
+    # at the cap, the substitution itself is still read
+    spec = "a->a,b->" + "a" * (cli.MAX_SUBSTITUTION_LETTERS - 2) + "b"
+    assert run_cli("decompose", spec)[0] == 0
 
 
 def test_render_refuses_a_bad_scale_before_the_work(monkeypatch):

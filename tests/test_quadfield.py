@@ -65,13 +65,22 @@ def _sympy_square_part(n: int) -> tuple[int, int]:
 @st.composite
 def radicands(draw):
     """Radicands up to 10**14; pq and p^2 q with primes p, q > 10**4 leave
-    a cofactor that trial division to 10**4 does not split."""
-    shape = draw(st.sampled_from(["any", "pq", "ppq"]))
+    a cofactor that trial division to 10**4 does not split.  m p^2 with a
+    prime p past the cube root 46415 of 10**14 leaves a square to isqrt
+    beside small single primes; m p^3 with 10**4 < p <= 46415 needs the
+    trial division past 10**4."""
+    shape = draw(st.sampled_from(["any", "pq", "ppq", "mpp", "mppp"]))
     if shape == "any":
         return draw(st.integers(1, 10**14))
     if shape == "pq":
         p = sympy.nextprime(draw(st.integers(10**4, 10**7)))
         return p * sympy.prevprime(draw(st.integers(10**4 + 2, 10**14 // p)))
+    if shape == "mpp":
+        p = sympy.nextprime(draw(st.integers(46416, 10**7 - 10**3)))
+        return draw(st.integers(1, 10**14 // (p * p))) * p * p
+    if shape == "mppp":
+        p = sympy.prevprime(draw(st.integers(10**4 + 10, 46415)))
+        return draw(st.integers(1, 10**14 // p**3)) * p**3
     p = sympy.nextprime(draw(st.integers(10**4, 9 * 10**4)))
     return p * p * sympy.prevprime(draw(st.integers(10**4 + 2, 10**14 // (p * p))))
 
@@ -81,6 +90,9 @@ def radicands(draw):
 @example(99999999999973)  # prime just below 10**14
 @example(99991 * 99991 * 9973)
 @example(10007 * 9993004877)
+@example(2 * 100003**2)
+@example(210 * 100003**2)
+@example(46411**3)  # the largest prime cube up to 10**14
 def test_squarefree_decompose_matches_sympy(n):
     assert squarefree_decompose.__wrapped__(n) == _sympy_square_part(n)
 
@@ -173,7 +185,7 @@ def test_cf_expand_matches_sympy(p, q, d):
     ours = cf_expand(x)
     *pre, per = continued_fraction_periodic(p, q, d)
     pre, per = tuple(map(int, pre)), tuple(map(int, per))
-    assert cf_value(CF(pre, per), radicand=x.d) == x
+    assert cf_value(CF(pre, per, x)) == x
     count = max(len(pre), len(ours.preperiod)) + math.lcm(len(per), len(ours.period))
     theirs = list(pre)
     while len(theirs) < count:
