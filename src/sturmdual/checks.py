@@ -158,14 +158,13 @@ def window_stability(corpus) -> CheckResult:
     members = _primitive(corpus, Substitution.is_unimodular)
     for checked, sigma in enumerate(members, 1):
         spec = spectral(sigma.matrix())
-        union: dict = {}
+        union = dualmap.StrandSum()
         for seg in dualmap.s_alpha_segments(spec, 10):
             image = dualmap.e1_star_apply(sigma, dualmap.StrandSum([seg]))
-            for out_seg, mult in image.items():
-                if not dualmap.in_s_alpha(out_seg, spec):
-                    detail = f"image of {seg} under {sigma} leaves the stepped line"
-                    return CheckResult(False, checked, detail)
-                union[out_seg] = union.get(out_seg, 0) + mult
+            if not all(dualmap.in_s_alpha(out_seg, spec) for out_seg in image):
+                detail = f"image of {seg} under {sigma} leaves the stepped line"
+                return CheckResult(False, checked, detail)
+            union += image
         if any(v > 1 for v in union.values()):
             return CheckResult(False, checked, f"duplicate image segments for {sigma}")
     detail = "stepped line is invariant with duplicate-free images"

@@ -11,11 +11,12 @@ reads a* as the letter a and b* as the letter b along the traversal.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NotInvertibleError, SturmdualError
 from .invert import is_invertible
-from .quadfield import QUAD_ZERO, Quad, SpectralData
+from .quadfield import Quad, SpectralData
 from .subst import Substitution
 
 PRIMAL_KINDS = ("a", "b")
@@ -62,62 +63,22 @@ class Segment:
         return f"({self.x},{self.y};{self.kind})"
 
 
-class StrandSum:
-    """Finite formal sum of segments with nonnegative multiplicities."""
-
-    __slots__ = ("_counts",)
-
-    def __init__(self, segments=()):
-        counts: dict[Segment, int] = {}
-        for seg in segments:
-            counts[seg] = counts.get(seg, 0) + 1
-        self._counts = counts
-
-    @classmethod
-    def from_counts(cls, counts: dict[Segment, int]) -> "StrandSum":
-        out = cls()
-        out._counts.update({s: c for s, c in counts.items() if c})
-        return out
+class StrandSum(Counter):
+    """Finite formal sum of segments: a Counter of nonnegative multiplicities."""
 
     @classmethod
     def single(cls, x: int, y: int, kind: str) -> "StrandSum":
         return cls([Segment(x, y, kind)])
 
-    def items(self):
-        return self._counts.items()
-
     def segments(self) -> list[Segment]:
         """Expanded list, multiplicity-many copies, deterministic order."""
-        out = []
-        for seg in sorted(self._counts, key=lambda s: (s.x, s.y, s.kind)):
-            out.extend([seg] * self._counts[seg])
-        return out
-
-    def multiplicity(self, seg: Segment) -> int:
-        return self._counts.get(seg, 0)
-
-    def __len__(self):
-        return sum(self._counts.values())
-
-    def __add__(self, other: "StrandSum") -> "StrandSum":
-        merged = dict(self._counts)
-        for seg, c in other._counts.items():
-            merged[seg] = merged.get(seg, 0) + c
-        return StrandSum.from_counts(merged)
-
-    def __eq__(self, other):
-        if not isinstance(other, StrandSum):
-            return NotImplemented
-        return self._counts == other._counts
-
-    def __hash__(self):
-        return hash(frozenset(self._counts.items()))
+        return sorted(self.elements(), key=lambda s: (s.x, s.y, s.kind))
 
     def all_primal(self) -> bool:
-        return all(not s.is_dual for s in self._counts)
+        return all(not s.is_dual for s in self)
 
     def all_dual(self) -> bool:
-        return all(s.is_dual for s in self._counts)
+        return all(s.is_dual for s in self)
 
     def to_json(self) -> list[str]:
         return [str(s) for s in self.segments()]
@@ -135,18 +96,17 @@ def e1_apply(sigma: Substitution, s: StrandSum) -> StrandSum:
     if not s.all_primal():
         raise SturmdualError("primal extension applied to dual segments")
     m = sigma.matrix()
-    counts: dict[Segment, int] = {}
+    out = StrandSum()
     for seg, mult in s.items():
         wx, wy = m.apply((seg.x, seg.y))
         na = nb = 0
         for letter in sigma.image(seg.letter):
-            out = Segment(wx + na, wy + nb, letter)
-            counts[out] = counts.get(out, 0) + mult
+            out[Segment(wx + na, wy + nb, letter)] += mult
             if letter == "a":
                 na += 1
             else:
                 nb += 1
-    return StrandSum.from_counts(counts)
+    return out
 
 
 def e1_star_apply(sigma: Substitution, s: StrandSum) -> StrandSum:
@@ -160,7 +120,7 @@ def e1_star_apply(sigma: Substitution, s: StrandSum) -> StrandSum:
     if not sigma.is_unimodular():
         raise SturmdualError(f"{sigma} is not unimodular")
     minv = sigma.matrix().inverse_unimodular()
-    counts: dict[Segment, int] = {}
+    out = StrandSum()
     for seg, mult in s.items():
         for j, dual_kind in zip("ab", DUAL_KINDS):
             image = sigma.image(j)
@@ -174,21 +134,20 @@ def e1_star_apply(sigma: Substitution, s: StrandSum) -> StrandSum:
                     continue
                 # (na, nb) now counts the suffix strictly after this position
                 wx, wy = minv.apply((seg.x + na, seg.y + nb))
-                out = Segment(wx, wy, dual_kind)
-                counts[out] = counts.get(out, 0) + mult
-    return StrandSum.from_counts(counts)
+                out[Segment(wx, wy, dual_kind)] += mult
+    return out
 
 
 def _chain(s: StrandSum, dual: bool) -> list[Segment] | None:
-    if len(s) == 0:
+    if not s:
         return []
     if dual and not s.all_dual():
         return None
     if not dual and not s.all_primal():
         return None
-    if any(c != 1 for _, c in s.items()):
+    if any(c != 1 for c in s.values()):
         return None
-    segs = sorted((seg for seg, _ in s.items()), key=Segment.traversal_key)
+    segs = sorted(s, key=Segment.traversal_key)
     keys = [seg.traversal_key() for seg in segs]
     if len(set(keys)) != len(keys):
         return None
@@ -210,9 +169,9 @@ def is_dual_strand(s: StrandSum) -> bool:
 
 def sort_along(s: StrandSum) -> list[Segment]:
     """Traversal order of a (dual) strand; raises when not a strand."""
-    if len(s) == 0:
+    if not s:
         return []
-    dual = next(iter(s.items()))[0].is_dual
+    dual = next(iter(s)).is_dual
     chain = _chain(s, dual)
     if chain is None:
         raise SturmdualError("segments do not form a strand")
@@ -274,22 +233,18 @@ def s_alpha_segments(spec: SpectralData, radius: int) -> list[Segment]:
 
     There is exactly one segment per key, which is checked.
     """
+    base = spec.ell + 1
     out = []
     for key in range(-radius, radius + 1):
+        # (x, y, a*) has key x - y - 1 and (x, y, b*) key x - y.  With
+        # x = key + shift + y, the y that put x + y*ell in [0, 1) or [0, ell)
+        # form an interval shorter than 1 that starts at the candidate
         found = []
-        # (x, y, b*) has key x - y and needs x + y*ell in [0, ell);
-        # (x, y, a*) has key x - y - 1 and needs x + y*ell in [0, 1)
-        for kind in DUAL_KINDS:
-            shift = 1 if kind == "a*" else 0
-            bound = spec.ell if kind == "b*" else Quad(1)
-            # with x = key + shift + y: 0 <= (key + shift) + y(1 + ell) < bound
-            base = spec.ell + 1
-            lo = (QUAD_ZERO - (key + shift)) / base
-            hi = (bound - (key + shift)) / base
-            y = lo.ceil()
-            while Quad(y) < hi:
-                found.append(Segment(key + shift + y, y, kind))
-                y += 1
+        for kind, shift in (("a*", 1), ("b*", 0)):
+            y = (Quad(-(key + shift)) / base).ceil()
+            seg = Segment(key + shift + y, y, kind)
+            if in_s_alpha(seg, spec):
+                found.append(seg)
         if len(found) != 1:
             raise SturmdualError(f"stepped line has {len(found)} segments at key {key}")
         out.append(found[0])

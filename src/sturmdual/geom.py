@@ -17,7 +17,7 @@ from .errors import (
     NonIntervalWindowError,
     SturmdualError,
 )
-from .quadfield import QUAD_ONE, QUAD_ZERO, Quad, spectral
+from .quadfield import QUAD_ONE, QUAD_ZERO, Quad, SpectralData, spectral
 from .subst import Mat2, Substitution, fixed_point_prefix, letter_fixing_power
 
 _IDX = {"a": 0, "b": 1}
@@ -342,24 +342,13 @@ def star_relation_check(sigma: Substitution) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """Planar lattice spanned by (1, 1) and (ell, ell'); the first
-    coordinate is physical space, the second internal space."""
-
-    ell: Quad
-    ell_conj: Quad
-
-    def project_phys(self, alpha: int, beta: int) -> Quad:
-        return Quad(alpha) + self.ell * beta
+def lattice_for(sigma: Substitution) -> SpectralData:
+    """Spectral data of sigma, whose ell and ell' span the planar lattice
+    of (1, 1) and (ell, ell'): physical space first, internal second."""
+    return spectral(sigma.matrix())
 
 
-def lattice_for(sigma: Substitution) -> Lattice:
-    spec = spectral(sigma.matrix())
-    return Lattice(spec.ell, spec.ell_conj)
-
-
-def cut_project_points(lat: Lattice, window, phys_range, closed: str = "lo") -> list[Quad]:
+def cut_project_points(lat: SpectralData, window, phys_range, closed: str = "lo") -> list[Quad]:
     """Physical projections of lattice points whose internal projection
     lies in the window; the physical range is closed on both sides.
 
@@ -448,7 +437,7 @@ def cut_project_verify(sigma: Substitution, depth: int, phys_range) -> bool:
     return vertices == model
 
 
-def _boundary_vertex(lat: Lattice, z: Quad, prefix_word: str) -> Quad | None:
+def _boundary_vertex(lat: SpectralData, z: Quad, prefix_word: str) -> Quad | None:
     """Physical coordinate of the unique lattice point with internal
     coordinate z, when that point is a vertex of the fixed-point tiling.
 
@@ -467,7 +456,7 @@ def _boundary_vertex(lat: Lattice, z: Quad, prefix_word: str) -> Quad | None:
     piece = prefix_word[:m]
     if (piece.count("a"), piece.count("b")) != (alpha, beta):
         return None
-    return lat.project_phys(alpha, beta)
+    return lat.ell * beta + alpha
 
 
 # ---------------------------------------------------------------------------

@@ -691,12 +691,17 @@ def _cf_surd(c: CF) -> tuple[int, int, int, int]:
 
     N is the unfactored discriminant of the periodic tail y, which
     solves k1 y^2 + (k0 - h1) y - h0 = 0 for the period's convergents,
-    so y = (u + sqrt(N)) / v.  The preperiod's convergents fold it in:
+    so y = (u + sqrt(N)) / v.  The period's automorph makes those
+    coefficients a multiple of y's primitive form, so dividing out their
+    content leaves N equal to y's own discriminant, which does not grow
+    with the period.  The preperiod's convergents fold it in:
     value = (p1 y + p0) / (q1 y + q0) = (A + p1 sqrt(N)) / (B + q1 sqrt(N)).
     """
     h1, h0, k1, k0 = _convergents(c.period)
-    n = (k0 - h1) * (k0 - h1) + 4 * k1 * h0
-    u, v = h1 - k0, 2 * k1
+    g = gcd(k1, k0 - h1, h0)
+    k1, t, h0 = k1 // g, (k0 - h1) // g, h0 // g
+    n = t * t + 4 * k1 * h0
+    u, v = -t, 2 * k1
     p1, p0, q1, q0 = _convergents(c.preperiod)
     a, b = p1 * u + p0 * v, q1 * u + q0 * v
     # times the conjugate B - q1 sqrt(N) above and below

@@ -449,6 +449,64 @@ def test_render_byte_stable_and_counts():
     assert len(points) == expected_segments + 1
 
 
+# the outputs of the geometric commands are a contract: the exit code and
+# the sha256 of stdout of each command on three substitutions, recorded at
+# commit 3470714 (a->abaab,b->aba has determinant -1, so its window
+# commands and its star-dual exit 1 with nothing on stdout)
+_GOLDEN_COMMANDS = (
+    ("rauzy", "--json"),
+    ("stardual", "--json"),
+    ("cutproject", "--range", "-7/2", "40", "--json"),
+    ("dual",),
+    *(
+        ("render", "--iterations", "4", "--target", target)
+        for target in ("strand", "dual_strand", "tiling", "rauzy")
+    ),
+)
+_NOTHING = hashlib.sha256(b"").hexdigest()
+_GOLDEN = {
+    "a->aba,b->ab": (
+        (0, "56adcb736cb60f960e088a9dce6351f27c9a9f2244455e9c0fb74258b66c38d8"),
+        (0, "9aa3ccc830e873dc38e913876d5c90c508e45c275b0923e621bb1a237c370fa6"),
+        (0, "75d93b27cd93de44812fcc03d46ad28c290ed2be8fb0dea75ff3720ab5942c80"),
+        (0, "e4d2b8ab218616325c5221e34aae3d6642f4489412b9ac180d2e51519bacd608"),
+        (0, "a0c4bd10029454e292e89a55f9f43893f5cff2db8fc31f6173cc28fa9fc3f221"),
+        (0, "6ff6cdd3ef834b92f3a2df5b8245df3e158af0c15fd866604c750b969fdd95bf"),
+        (0, "271307c6c6ef4654a81d873f1de3b5a3161bb60d50711bc774d556643924c1bf"),
+        (0, "f6c87e16abc814e0778fcf55b3726a100f6aebe4b18d7359558e8f9f805269df"),
+    ),
+    "a->abaab,b->aba": (
+        (1, _NOTHING),
+        (1, _NOTHING),
+        (1, _NOTHING),
+        (0, "bd3779ba5fba181b948d2c0e7d04158e745939bd50f537cb01ed745ee232d067"),
+        (0, "76f23f906ed633ff2ca0276791188b54c3fe7627fc645ab03da71e1054f5ea30"),
+        (0, "1b83b3b3809f340d4847b7d8df3f2e5a8c9d492e10613fdc62caeb939cfc940e"),
+        (0, "345f65df0e874c9a2b8f29beda75f3820f31516a17e6830fad532dc252493b39"),
+        (1, _NOTHING),
+    ),
+    "a->baa,b->ba": (
+        (0, "e391da2dd2e317316811f205aba5fe6c8c2fd771b3476a1ccf1519a31ab9af7d"),
+        (0, "7057f53893dead3f40783474e7a3cc9e58d36394c3e154e4b846f50c3764af35"),
+        (0, "f30bfade53a242e5c3a71457e14c3df502f177318e7a3ee11d55638b76a22ff3"),
+        (0, "f346e52cfa14cfb81571d481a10ff3a5f2cddfc0183fb4c4226af31e6a0431a3"),
+        (0, "d89fb9708a199771ef98234d805c0e0a89b908612fb0484b320af12f938d818c"),
+        (0, "84eb3f6f07783f241beef7eb2d899d74f215b271f10f3182d5a8f5a2e2773ba4"),
+        (0, "c7a87b10efe30abee6be099d5f6b674524fc7a6212d228b64f7faf9a84e892a2"),
+        (0, "f6c87e16abc814e0778fcf55b3726a100f6aebe4b18d7359558e8f9f805269df"),
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_GOLDEN))
+def test_geometric_outputs_are_byte_stable(spec):
+    got = {}
+    for command in _GOLDEN_COMMANDS:
+        code, out, _ = run_cli(command[0], spec, *command[1:])
+        got[command] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == dict(zip(_GOLDEN_COMMANDS, _GOLDEN[spec]))
+
+
 def test_render_tiling_and_strand():
     doc = render_svg(parse_substitution("a->aba,b->ab"), "tiling", 3, 10.0)
     rows = doc.count("<rect")

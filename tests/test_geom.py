@@ -148,6 +148,59 @@ def test_rauzy_decomposition_satisfies_set_equation():
             assert r1 == l2
 
 
+def _surd_sign(p, q, n):
+    """Sign of p + q*sqrt(n) for integers p, q and a non-square n > 0."""
+    if p >= 0 and q >= 0:
+        return int(p > 0 or q > 0)
+    if p <= 0 and q <= 0:
+        return -1
+    gap = p * p - q * q * n
+    return ((gap > 0) - (gap < 0)) * (1 if p > 0 else -1)
+
+
+def _over_sqrt(z, disc):
+    """Integers (P, Q, N), N > 0, with z = (P + Q*sqrt(disc)) / N, read
+    from the parts of z alone."""
+    coeff = F(0)
+    if z.q:
+        square, rem = divmod(disc, z.d)
+        root = math.isqrt(square)
+        assert rem == 0 and root * root == square, (z, disc)
+        coeff = z.q / root
+    n = math.lcm(z.p.denominator, coeff.denominator)
+    return int(z.p * n), int(coeff * n), n
+
+
+def test_fixed_point_prefix_valuations_lie_in_the_windows():
+    # i + j*ell' for the counts (i, j) of a and b in each prefix of a
+    # 2048-letter fixed-point prefix lies in the closed window of the next
+    # letter; ell' = (e - sqrt(D)) / (2 m21) solves (1, ell') M = lam' (1, ell'),
+    # and each comparison is an integer sign test, with no Quad arithmetic
+    members = [s for n, s in generator_products(6) if n and s.is_primitive() and s.det() == 1]
+    assert len(members) == 120
+    for sigma in members:
+        m = sigma.matrix()
+        disc = (m.m11 + m.m22) ** 2 - 4
+        e, den = m.m22 - m.m11, 2 * m.m21
+        rd = rauzy_decomposition(sigma)
+        windows = {
+            letter: [_over_sqrt(z, disc) for z in interval]
+            for letter, interval in (("a", rd.r_a), ("b", rd.r_b))
+        }
+        i = j = 0
+        for letter in fixed_point_prefix(sigma, 2048):
+            # the value is (den*i + e*j - j*sqrt(disc)) / den
+            vp = den * i + e * j
+            (lp, lq, ln), (hp, hq, hn) = windows[letter]
+            above_lo = _surd_sign(vp * ln - lp * den, -j * ln - lq * den, disc)
+            below_hi = _surd_sign(hp * den - vp * hn, hq * den + j * hn, disc)
+            assert above_lo >= 0 and below_hi >= 0, (sigma, i, j, letter)
+            if letter == "a":
+                i += 1
+            else:
+                j += 1
+
+
 def test_printed_windows_solve_the_set_equation_in_sympy(capsys):
     # the Bellman form of the set equation, rebuilt in sympy from the
     # matrix alone: lo_t = min(r*lo_s + c) and hi_t = max(r*hi_s + c)

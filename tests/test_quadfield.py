@@ -332,16 +332,24 @@ def test_cf_value_matches_sympy_with_long_preperiods(pre, per):
 
 
 def test_cf_roundtrip_random_surds():
+    # the printed-and-parsed copy carries no value_hint, so cf_value must
+    # resolve the period's discriminant alone, which for the first case's
+    # 72-quotient period needs the period's quadratic in primitive form
     rng = random.Random(20260808)
-    for _ in range(100):
-        x = Quad(
+    cases = [Quad(F(-29, 14), F(2346, 7), 2)] + [
+        Quad(
             F(rng.randint(-9, 9), rng.randint(1, 7)),
             F(rng.randint(1, 9), rng.randint(1, 7)),
             rng.choice([2, 3, 5, 6, 7, 10]),
         )
+        for _ in range(100)
+    ]
+    for x in cases:
         c = cf_expand(x)
         assert cf_value(c) == x
-        assert parse_cf(format_cf(c)) == c
+        again = parse_cf(format_cf(c))
+        assert again == c and again.value_hint is None
+        assert cf_value(again) == x, x
 
 
 def test_cf_canonical_form():
