@@ -47,12 +47,6 @@ def _det_one(sigma: Substitution) -> bool:
     return sigma.det() == 1
 
 
-def verify_cut_project_covering(sigma: Substitution, phys_range) -> bool:
-    """cut_project_verify at the smallest depth whose patch spans the range."""
-    depth = geom.covering_depth(sigma, phys_range[1])
-    return geom.cut_project_verify(sigma, depth, phys_range)
-
-
 def complexity(corpus, length: int = 30) -> CheckResult:
     """p(n) = n + 1 up to length on primitive members, but not for KRIEGER_PAIR[0]."""
     result = _for_all(
@@ -179,7 +173,7 @@ def strand_connectivity(corpus, radius=8, lengths=(2, 4, 6), step=5) -> CheckRes
         segs = dualmap.s_alpha_segments(spectral(sigma.matrix()), radius)
         pieces = [segs[i : i + n] for n in lengths for i in range(0, len(segs) - n, step)]
         images = (dualmap.e1_star_apply(sigma, dualmap.StrandSum(p)) for p in pieces)
-        return all(dualmap.is_dual_strand(image) for image in images)
+        return all(dualmap.sort_along(image) is not None for image in images)
 
     return _for_all(
         _primitive(corpus, invert.is_invertible), holds,
@@ -249,7 +243,7 @@ def star_relation(corpus) -> CheckResult:
 def cut_project(corpus) -> CheckResult:
     """Fixed-point patch vertices in [0, 30] equal the model set (det +1)."""
     return _for_all(
-        _primitive(corpus, _det_one), lambda s: verify_cut_project_covering(s, (0, 30)),
+        _primitive(corpus, _det_one), lambda s: geom.cut_project_verify(s, (0, 30)),
         "vertex set differs from the model set for {}",
         "patch vertices equal the projected lattice points",
     )

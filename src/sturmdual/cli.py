@@ -12,9 +12,10 @@ from math import isfinite
 from time import perf_counter
 
 from . import checks, dualmap, geom, invert, words
+from .errors import DeterminantMinusOneError, ParseError, SturmdualError
 # KRIEGER_PAIR and verify_cut_project_covering stay importable from here
-from .checks import KRIEGER_PAIR, verify_cut_project_covering  # noqa: F401
-from .errors import ParseError, SturmdualError
+from .checks import KRIEGER_PAIR  # noqa: F401
+from .geom import cut_project_verify as verify_cut_project_covering  # noqa: F401
 from .quadfield import (
     CF,
     cf_dual_transform,
@@ -46,6 +47,11 @@ MAX_CUTPROJECT_WIDTH = 200
 # cap on sturmian --length: a letter is one Quad add and one floor or
 # ceil, so 10**5 letters of short literals take about a second
 MAX_STURMIAN_LENGTH = 10**5
+# cap on the printed length of sturmian's slope and initial point: each
+# letter is Fraction arithmetic on their parts, so the time per letter
+# grows with them; at both caps the slowest literal pair measured took
+# 2.2 s on a 2-vCPU host (1.1 s for sqrt(2)-1), a 3000-digit --rho 31 s
+MAX_STURMIAN_LITERAL = 100
 # cap on the letters of a substitution's two images together, and of its
 # square under --square: inverse, selfdual, rauzy and stardual grow
 # faster than linearly in it; on random invertible words at the cap the
@@ -81,15 +87,6 @@ class AnalysisReport:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["lambda"] = d.pop("lam")
         return {"schema": SCHEMA_VERSION, **d}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "AnalysisReport":
-        d = dict(d)
-        if d.pop("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise ParseError("unknown report schema version")
-        if "lambda" in d:
-            d["lam"] = d.pop("lambda")
-        return cls(**d)
 
 
 def build_report(sigma: Substitution) -> AnalysisReport:
@@ -282,6 +279,10 @@ def cmd_tiling(args, out) -> int:
 
 def cmd_stardual(args, out) -> int:
     sigma = _load_subst(args.spec, args.square)
+    if sigma.det() == -1 and sigma.is_primitive():
+        raise DeterminantMinusOneError(
+            f"{sigma} has determinant -1; take the star-dual of the square (--square)"
+        )
     t = geom.star_dual(geom.tile_subst_from(sigma))
     payload = {
         "inflation": format_quad(t.inflation),
@@ -324,6 +325,12 @@ def cmd_sturmian(args, out) -> int:
         raise SturmdualError(f"--length {args.length} is outside 1..{MAX_STURMIAN_LENGTH}")
     alpha = parse_quad(args.alpha)
     rho = parse_quad(args.rho) if args.rho is not None else alpha
+    for name, value in (("alpha", alpha), ("--rho", rho)):
+        printed = len(format_quad(value))
+        if printed > MAX_STURMIAN_LITERAL:
+            raise SturmdualError(
+                f"{name} prints as {printed} characters, more than the cap of {MAX_STURMIAN_LITERAL}"
+            )
     convention = "upper" if args.upper else "lower"
     out.write(geom.sturmian_word(alpha, rho, convention, args.length) + "\n")
     return 0
@@ -483,6 +490,8 @@ def render_svg(sigma: Substitution, target: str, iterations: int, scale: float) 
         for _ in range(iterations):
             s = (dualmap.e1_star_apply if dual else dualmap.e1_apply)(sigma, s)
         chain = dualmap.sort_along(s)
+        if chain is None:
+            raise SturmdualError("segments do not form a strand")
         pts = [chain[0].traversal_start()] + [seg.traversal_end() for seg in chain]
         return _polyline_svg(pts, scale)
     if target == "tiling":

@@ -138,14 +138,13 @@ def e1_star_apply(sigma: Substitution, s: StrandSum) -> StrandSum:
     return out
 
 
-def _chain(s: StrandSum, dual: bool) -> list[Segment] | None:
+def sort_along(s: StrandSum) -> list[Segment] | None:
+    """Traversal order of a primal or a dual strand, or None when the
+    segments mix the two, repeat, or do not chain end to end."""
     if not s:
         return []
-    if dual and not s.all_dual():
-        return None
-    if not dual and not s.all_primal():
-        return None
-    if any(c != 1 for c in s.values()):
+    dual = next(iter(s)).is_dual
+    if not (s.all_dual() if dual else s.all_primal()) or any(c != 1 for c in s.values()):
         return None
     segs = sorted(s, key=Segment.traversal_key)
     keys = [seg.traversal_key() for seg in segs]
@@ -155,43 +154,6 @@ def _chain(s: StrandSum, dual: bool) -> list[Segment] | None:
         if cur.traversal_end() != nxt.traversal_start():
             return None
     return segs
-
-
-def is_strand(s: StrandSum) -> bool:
-    """Segments chain end to end along the primal traversal order."""
-    return _chain(s, dual=False) is not None
-
-
-def is_dual_strand(s: StrandSum) -> bool:
-    """Segments chain end to end along the dual traversal order."""
-    return _chain(s, dual=True) is not None
-
-
-def sort_along(s: StrandSum) -> list[Segment]:
-    """Traversal order of a (dual) strand; raises when not a strand."""
-    if not s:
-        return []
-    dual = next(iter(s)).is_dual
-    chain = _chain(s, dual)
-    if chain is None:
-        raise SturmdualError("segments do not form a strand")
-    return chain
-
-
-def code_strand(s: StrandSum) -> str:
-    """Word read along a primal strand (a and b steps)."""
-    chain = _chain(s, dual=False)
-    if chain is None:
-        raise SturmdualError("segments do not form a primal strand")
-    return "".join(seg.letter for seg in chain)
-
-
-def code_dual_strand(s: StrandSum) -> str:
-    """Word read along a dual strand (a* -> a, b* -> b)."""
-    chain = _chain(s, dual=True)
-    if chain is None:
-        raise SturmdualError("segments do not form a dual strand")
-    return "".join(seg.letter for seg in chain)
 
 
 def dual_substitution(sigma: Substitution) -> Substitution:
@@ -204,12 +166,12 @@ def dual_substitution(sigma: Substitution) -> Substitution:
         raise SturmdualError(f"{sigma} is not unimodular")
     images = {}
     for x in "ab":
-        image = e1_star_apply(sigma, StrandSum.single(0, 0, x + "*"))
-        if not is_dual_strand(image):
+        chain = sort_along(e1_star_apply(sigma, StrandSum.single(0, 0, x + "*")))
+        if chain is None:
             raise NotInvertibleError(
                 f"dual image of ({x}*) is not connected; {sigma} has no dual substitution"
             )
-        images[x] = code_dual_strand(image)
+        images[x] = "".join(seg.letter for seg in chain)
     dual = Substitution(images["a"], images["b"])
     if dual.matrix() != sigma.matrix().transpose():
         raise SturmdualError(f"matrix of the dual {dual} of {sigma} is not the transpose")

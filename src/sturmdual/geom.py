@@ -353,10 +353,10 @@ def cut_project_points(lat: SpectralData, window, phys_range, closed: str = "lo"
     lies in the window; the physical range is closed on both sides.
 
     closed selects the window convention: "lo" for [lo, hi) (the
-    default), "hi" for (lo, hi], "open" for (lo, hi), "both" for [lo, hi].
+    default), "open" for (lo, hi).
     """
-    if closed not in ("lo", "hi", "open", "both"):
-        raise ValueError("closed must be 'lo', 'hi', 'open' or 'both'")
+    if closed not in ("lo", "open"):
+        raise ValueError("closed must be 'lo' or 'open'")
     wlo, whi = (_as_quad(window[0]), _as_quad(window[1]))
     rlo, rhi = (_as_quad(phys_range[0]), _as_quad(phys_range[1]))
     denom = lat.ell - lat.ell_conj
@@ -375,35 +375,19 @@ def cut_project_points(lat: SpectralData, window, phys_range, closed: str = "lo"
         ahi = min(rhi - phys_shift, whi - intern_shift)
         for alpha in range(alo.ceil(), ahi.floor() + 1):
             intern = intern_shift + alpha
-            lo_ok = wlo <= intern if closed in ("lo", "both") else wlo < intern
-            hi_ok = intern <= whi if closed in ("hi", "both") else intern < whi
-            if lo_ok and hi_ok:
+            if (wlo <= intern if closed == "lo" else wlo < intern) and intern < whi:
                 points.append(phys_shift + alpha)
     points.sort()
     return points
 
 
-def covering_depth(sigma: Substitution, hi) -> int:
-    """Smallest patch level whose fixed-point patch spans [0, hi]."""
-    hi = _as_quad(hi)
-    spec = spectral(sigma.matrix())
-    power, seed, _ = letter_fixing_power(sigma)
-    m = sigma.matrix()
-    depth = power
-    while True:
-        counts = m.power(depth).apply((1, 0) if seed == "a" else (0, 1))
-        extent = Quad(counts[0]) + spec.ell * counts[1]
-        if extent >= hi:
-            return depth
-        depth += power
-
-
-def cut_project_verify(sigma: Substitution, depth: int, phys_range) -> bool:
+def cut_project_verify(sigma: Substitution, phys_range) -> bool:
     """Patch vertex set equals the model set with the window decomposition.
 
     The patch follows the fixed point (it is anchored at the fixed
-    point's leading letter and iterated by the letter-fixing power), so
-    its vertex set is the origin together with the prefix valuations.
+    point's leading letter and iterated by the letter-fixing power), at
+    the smallest such level that spans the physical range, so its vertex
+    set is the origin together with the prefix valuations.
     Interior window points are all vertices; each window endpoint is the
     internal coordinate of at most one lattice point, which is a vertex
     exactly when the fixed-point prefix of the matching length has the
@@ -411,16 +395,17 @@ def cut_project_verify(sigma: Substitution, depth: int, phys_range) -> bool:
     """
     rlo, rhi = (_as_quad(phys_range[0]), _as_quad(phys_range[1]))
     power, seed, _ = letter_fixing_power(sigma)
-    levels = depth if depth % power == 0 else depth + power - depth % power
-
     t = tile_subst_from(sigma)
+    # the level-k patch holds the letters of sigma^k(seed), so it spans
+    # [0, |sigma^k(seed)|_a + ell * |sigma^k(seed)|_b]
+    step = sigma.matrix().power(power)
+    levels, counts = 0, (1, 0) if seed == "a" else (0, 1)
+    while True:
+        levels, counts = levels + power, step.apply(counts)
+        extent = t.lengths[0] * counts[0] + t.lengths[1] * counts[1]
+        if extent >= rhi:
+            break
     patch = iterate_patch(t, seed, levels)
-    last_letter, last_left = patch[-1]
-    extent = last_left + t.lengths[_IDX[last_letter]]
-    if extent < rhi:
-        raise SturmdualError(
-            f"level-{levels} patch spans only up to {extent}; increase the depth"
-        )
     vertices = [left for _, left in patch]
     vertices.append(extent)
     vertices = sorted(v for v in vertices if rlo <= v <= rhi)

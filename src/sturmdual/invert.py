@@ -221,15 +221,6 @@ def conjugate_power_search(
     return None
 
 
-def are_conjugate(sigma: Substitution, rho: Substitution) -> bool:
-    """Equal matrices decide conjugacy for invertible substitutions."""
-    if sigma.matrix() != rho.matrix():
-        return False
-    if find_conjugator(sigma, rho) is None:
-        raise SturmdualError(f"equal matrices but no conjugator for {sigma} and {rho}")
-    return True
-
-
 @dataclass(frozen=True)
 class SelfdualClass:
     kind: str  # "direct" | "mirror" | "not_selfdual"

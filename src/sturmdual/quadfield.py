@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isfinite, isqrt, lcm
 
-from .errors import DeterminantMinusOneError, ParseError, SturmdualError
+from .errors import ParseError, SturmdualError
 
 _FACTOR_LIMIT = 10**14
 # quotients (preperiod and period together) that one expansion may keep
@@ -401,13 +401,6 @@ class SpectralData:
     ell: Quad
     ell_conj: Quad
 
-    @property
-    def det(self) -> int:
-        prod = self.lam * self.lam_conj
-        if not prod.is_rational:
-            raise SturmdualError(f"eigenvalue product {prod} is not rational")
-        return int(prod.p)
-
 
 Triple = tuple[int, int, int]  # (a, b, n): the value (a + b*sqrt(d)) / n
 
@@ -454,19 +447,6 @@ def spectral(m) -> SpectralData:
         p, q = Fraction(a, n), Fraction(b, n)
         fields += [Quad._canonical(p, q, d), Quad._canonical(p, -q, d)]
     return SpectralData(*fields)
-
-
-def dual_frequency(s: SpectralData) -> Quad:
-    """Frequency of the dual substitution, from the conjugate frequency.
-
-    Only meaningful in the determinant +1 case; equals the frequency of
-    the transposed matrix.
-    """
-    if s.det != 1:
-        raise DeterminantMinusOneError(
-            "dual frequency requires determinant +1; analyze the square"
-        )
-    return dual_frequency_value(s.alpha)
 
 
 def dual_frequency_parts(a: int, b: int, n: int, d: int) -> Triple:

@@ -11,11 +11,11 @@ from fractions import Fraction as F
 
 from conftest import RHO, SIG_UNCHANGED
 from sturmdual import checks
-from sturmdual.checks import verify_cut_project_covering
 from sturmdual.dualmap import dual_substitution
 from sturmdual.geom import (
     DigitMatrix,
     characteristic_word,
+    cut_project_verify,
     e_matrix,
     rauzy_decomposition,
     star_dual,
@@ -132,7 +132,7 @@ def test_acceptance_09_dual_map_structure(corpus8, corpus8_primitive):
 
 
 def test_acceptance_10_cut_and_project(corpus8_det1):
-    assert verify_cut_project_covering(RHO, (0, 30))
+    assert cut_project_verify(RHO, (0, 30))
     result = checks.cut_project(corpus8_det1)
     assert result.ok, result.detail
     report(10, f"patch vertices equal the model sets on {result.checked} members")

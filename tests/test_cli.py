@@ -9,6 +9,7 @@ import time
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from sympy.ntheory.continued_fraction import continued_fraction_reduce
 
 import sturmdual
@@ -16,15 +17,14 @@ from sturmdual import cli
 from sturmdual.checks import CheckResult
 from sturmdual.cli import (
     VERIFY_SUITES,
-    AnalysisReport,
     build_parser,
-    build_report,
     main,
     render_svg,
 )
 from sturmdual.errors import SturmdualError
+from sturmdual.invert import GENERATOR_ORDER, GENERATORS
 from sturmdual.quadfield import MAX_CF_QUOTIENTS
-from sturmdual.subst import Mat2, Substitution, parse_substitution
+from sturmdual.subst import IDENTITY, Mat2, Substitution, parse_substitution
 
 
 def run_cli(*argv):
@@ -66,12 +66,6 @@ def test_analyze_krieger():
     assert data["invertible"] is False
     assert data["det"] == 0
     assert data["selfdual_class"] is None
-
-
-def test_report_json_roundtrip():
-    report = build_report(parse_substitution("a->aba,b->ab"))
-    again = AnalysisReport.from_json_dict(json.loads(json.dumps(report.to_json_dict())))
-    assert again == report
 
 
 def test_dual_reciprocal_inverse_commands():
@@ -125,6 +119,13 @@ def test_stardual_command():
     data = json.loads(out)
     assert data["digits"][0][0] == sorted(["0", "1/2-1/2*sqrt(5)"])
     assert data["digits"][1] == [["0"], ["1"]]
+    # determinant -1 is refused by name, as rauzy and cutproject refuse it;
+    # the square has determinant +1
+    assert run_cli("stardual", "a->abaab,b->aba") == (
+        1, "", "error: a->abaab,b->aba has determinant -1; take the star-dual of the square (--square)\n"
+    )
+    code, out, _ = run_cli("stardual", "a->abaab,b->aba", "--square")
+    assert code == 0 and out.startswith("inflation 9+4*sqrt(5)\n")
 
 
 def test_cutproject_and_sturmian_and_cf():
@@ -249,6 +250,8 @@ def test_enumerate_deterministic_and_counts():
         ("sturmian", "sqrt(2)-1", "-n", "0"),
         ("sturmian", "sqrt(2)-1", "-n", "-3"),
         ("sturmian", "sqrt(2)-1", "-n", str(cli.MAX_STURMIAN_LENGTH + 1)),
+        ("sturmian", "sqrt(2)-1", "--rho", "1/" + "7" * 3000, "-n", "100000"),
+        ("sturmian", "1/" + "7" * 3000 + "*sqrt(2)", "-n", "100000"),
     ]
     + [
         # a scale that is not finite and positive, or that overflows the
@@ -276,6 +279,11 @@ def test_oversized_runs_are_refused_before_the_work(argv):
 
 def test_sturmian_length_bounds(monkeypatch):
     assert run_cli("sturmian", "sqrt(2)-1", "-n", "1") == (0, "a\n", "")
+    # a literal that prints at the cap is read, one character more is not
+    at_cap = "1/" + "7" * (cli.MAX_STURMIAN_LITERAL - 2)
+    assert run_cli("sturmian", "sqrt(2)-1", "--rho", at_cap, "-n", "3") == (0, "aab\n", "")
+    code, out, err = run_cli("sturmian", "sqrt(2)-1", "--rho", at_cap + "7", "-n", "3")
+    assert (code, out) == (1, "") and f"cap of {cli.MAX_STURMIAN_LITERAL}" in err
 
     # past the cap, refused before any letter is built
     def build_letters(*args):
@@ -537,3 +545,64 @@ def test_parser_covers_all_subcommands():
     }
     actions = [a for a in parser._actions if hasattr(a, "choices") and a.choices]
     assert subcommands <= set(actions[0].choices)
+
+
+# subcommands that read one substitution, with the options each may take
+_ONE_SUBSTITUTION = {
+    "analyze": ("--json",),
+    "dual": (),
+    "reciprocal": (),
+    "inverse": (),
+    "decompose": (),
+    "selfdual": ("--json",),
+    "rauzy": ("--json",),
+    "tiling": ("--json",),
+    "stardual": ("--json",),
+    "cutproject": ("--json",),
+    "render": tuple(f"--target={target}" for target in ("strand", "dual_strand", "tiling", "rauzy")),
+}
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+_MAX_DRAWN_LETTERS = 40
+
+
+@st.composite
+def _drawn_substitutions(draw):
+    """Two arbitrary words, or a generator product of either determinant
+    within the letter bound, rotated a few steps along its conjugates."""
+    if draw(st.booleans()):
+        a, b = (draw(st.text("ab", min_size=1, max_size=_MAX_DRAWN_LETTERS // 2)) for _ in "ab")
+        return f"a->{a},b->{b}"
+    sigma = IDENTITY
+    for name in draw(st.lists(st.sampled_from(GENERATOR_ORDER), max_size=12)):
+        step = sigma.compose(GENERATORS[name])
+        if len(step.img_a) + len(step.img_b) > _MAX_DRAWN_LETTERS:
+            break
+        sigma = step
+    a, b = sigma.img_a, sigma.img_b
+    for _ in range(draw(st.integers(0, 3))):
+        if a[0] != b[0]:
+            break
+        a, b = a[1:] + a[0], b[1:] + b[0]
+    return f"a->{a},b->{b}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_ONE_SUBSTITUTION)),
+    spec=_drawn_substitutions(),
+    square=st.booleans(),
+    data=st.data(),
+)
+def test_one_substitution_commands_end_in_an_answer_or_a_refusal(command, spec, square, data):
+    options = _ONE_SUBSTITUTION[command]
+    argv = [command, spec] + (["--square"] if square else [])
+    if options and data.draw(st.booleans()):
+        argv.append(data.draw(st.sampled_from(options)))
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(*argv)
+    except SystemExit as exc:  # argparse refuses with exit status 2
+        code, out, err = exc.code, "", ""
+    assert code in (0, 1, 2), argv
+    assert not _NON_FINITE.search(out + err), argv
+    assert time.perf_counter() - start < 10, argv

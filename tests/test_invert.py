@@ -12,7 +12,6 @@ from sturmdual.invert import (
     GEN_E,
     GEN_L,
     GEN_LT,
-    are_conjugate,
     compose_generators,
     decompose,
     find_conjugator,
@@ -154,16 +153,6 @@ def test_find_conjugator_witnesses_in_sympy_free_group():
         assert w is not None, (sigma, rho)
         for x in "ab":
             assert element(sigma.image(x)) == element(w) * element(rho.image(x)) * element(w) ** -1
-
-
-def test_are_conjugate():
-    twisted = Substitution(
-        words.reduce_concat(words.reduce_concat("A", RHO.img_a), "a"),
-        words.reduce_concat(words.reduce_concat("A", RHO.img_b), "a"),
-    )
-    assert are_conjugate(RHO, twisted)
-    flipped = GEN_E.compose(RHO).compose(GEN_E)
-    assert not are_conjugate(RHO, flipped)
 
 
 def test_selfdual_class_examples():

@@ -11,7 +11,7 @@ from sympy.ntheory import continued_fraction_periodic
 from sympy.ntheory.continued_fraction import continued_fraction_reduce
 
 from sturmdual.cli import build_report, main
-from sturmdual.errors import DeterminantMinusOneError, ParseError, SturmdualError
+from sturmdual.errors import ParseError, SturmdualError
 from sturmdual.invert import generator_products
 from sturmdual.quadfield import (
     CF,
@@ -19,7 +19,6 @@ from sturmdual.quadfield import (
     cf_dual_transform,
     cf_expand,
     cf_value,
-    dual_frequency,
     dual_frequency_value,
     float_parts,
     format_cf,
@@ -379,9 +378,7 @@ def test_purely_periodic_expansion_prints_and_parses_back(text, printed):
 
 def test_dual_frequency_examples():
     s = spectral(Mat2(2, 1, 1, 1))
-    assert dual_frequency(s) == ALPHA_RHO  # selfdual frequency
-    with pytest.raises(DeterminantMinusOneError):
-        dual_frequency(spectral(Mat2(1, 1, 1, 0)))
+    assert dual_frequency_value(s.alpha) == ALPHA_RHO  # selfdual frequency
 
 
 def test_dual_frequency_is_transposed_frequency():
@@ -397,7 +394,7 @@ def test_dual_frequency_is_transposed_frequency():
         if m.det() != 1 or not m.is_primitive():
             continue
         s = spectral(m)
-        assert dual_frequency(s) == spectral(m.transpose()).alpha
+        assert dual_frequency_value(s.alpha) == spectral(m.transpose()).alpha
         found += 1
 
 

@@ -5,6 +5,7 @@ from conftest import FIB, KRIEGER, KRIEGER_PARTNER, RHO
 from sturmdual import words
 from sturmdual.errors import ParseError, SturmdualError
 from sturmdual.invert import GEN_E, conjugate_power_search, generator_products
+from sturmdual.quadfield import spectral
 from sturmdual.subst import (
     IDENTITY,
     FreeEndo,
@@ -149,6 +150,15 @@ def test_hulls_equal_upto():
     flipped = GEN_E.compose(FIB).compose(GEN_E)
     assert not hulls_equal_upto(FIB, flipped, 5)
     assert hulls_equal_upto(FIB, flipped, 0)
+
+
+def test_hulls_equal_upto_is_only_a_necessary_condition():
+    # distinct letter frequencies (0.2324 and 0.2361) give distinct hulls,
+    # yet the factor sets agree up to length 16
+    sigma, rho = Substitution("aaab", "a"), Substitution("aaab", "aaaba")
+    assert spectral(sigma.matrix()).alpha != spectral(rho.matrix()).alpha
+    assert hulls_equal_upto(sigma, rho, 15) and hulls_equal_upto(sigma, rho, 16)
+    assert not hulls_equal_upto(sigma, rho, 17)
 
 
 def test_hulls_differ_when_one_language_contains_the_other():
