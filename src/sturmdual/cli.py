@@ -486,12 +486,15 @@ def render_svg(sigma: Substitution, target: str, iterations: int, scale: float) 
         dual = target == "dual_strand"
         m = sigma.matrix().transpose() if dual else sigma.matrix()
         _check_levels(m, "--iterations", iterations, MAX_STRAND_SEGMENTS, "segments")
-        s = dualmap.StrandSum.single(0, 0, "a*" if dual else "a")
+        images = [dualmap.StrandSum.single(0, 0, "a*" if dual else "a")]
         for _ in range(iterations):
-            s = (dualmap.e1_star_apply if dual else dualmap.e1_apply)(sigma, s)
-        chain = dualmap.sort_along(s)
+            images.append((dualmap.e1_star_apply if dual else dualmap.e1_apply)(sigma, images[-1]))
+        chain = dualmap.sort_along(images[-1])
         if chain is None:
-            raise SturmdualError("segments do not form a strand")
+            broken = next(k for k, image in enumerate(images) if dualmap.sort_along(image) is None)
+            raise SturmdualError(
+                f"{target} of {sigma}: the segments of iteration {broken} do not form a strand"
+            )
         pts = [chain[0].traversal_start()] + [seg.traversal_end() for seg in chain]
         return _polyline_svg(pts, scale)
     if target == "tiling":

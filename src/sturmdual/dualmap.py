@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import NotInvertibleError, SturmdualError
 from .invert import is_invertible
-from .quadfield import Quad, SpectralData
+from .quadfield import QUAD_ONE, LatticeLine, SpectralData
 from .subst import Substitution
 
 PRIMAL_KINDS = ("a", "b")
@@ -182,12 +182,14 @@ def dual_substitution(sigma: Substitution) -> Substitution:
 
 def in_s_alpha(seg: Segment, spec: SpectralData) -> bool:
     """Membership of a dual segment in the stepped line of the expanding
-    left eigenvector: 0 <= <W, v> < <e_i, v> for v = (1, ell)."""
+    left eigenvector: 0 <= <W, v> < <e_i, v> for v = (1, ell), decided by
+    integer sign tests of x + y*ell and of <W - e_i, v>."""
     if not seg.is_dual:
         raise SturmdualError("stepped-line membership is for dual segments")
-    value = seg.x + spec.ell * seg.y
-    bound = spec.ell if seg.kind == "b*" else 1
-    return value.sign() >= 0 and value < bound
+    line = LatticeLine(spec.ell, 0)
+    x, y = seg.x, seg.y
+    below = line.sign(x - 1, y, 0) if seg.kind == "a*" else line.sign(x, y - 1, 0)
+    return line.sign(x, y, 0) >= 0 > below
 
 
 def s_alpha_segments(spec: SpectralData, radius: int) -> list[Segment]:
@@ -195,7 +197,9 @@ def s_alpha_segments(spec: SpectralData, radius: int) -> list[Segment]:
 
     There is exactly one segment per key, which is checked.
     """
-    base = spec.ell + 1
+    # each candidate y = ceil(-(key + shift) / (1 + ell)) is the ceiling of
+    # 0 + (-(key + shift))*u for u = 1/(1 + ell)
+    line = LatticeLine(QUAD_ONE / (spec.ell + 1), 0)
     out = []
     for key in range(-radius, radius + 1):
         # (x, y, a*) has key x - y - 1 and (x, y, b*) key x - y.  With
@@ -203,7 +207,7 @@ def s_alpha_segments(spec: SpectralData, radius: int) -> list[Segment]:
         # form an interval shorter than 1 that starts at the candidate
         found = []
         for kind, shift in (("a*", 1), ("b*", 0)):
-            y = (Quad(-(key + shift)) / base).ceil()
+            y = line.ceil(0, -(key + shift), 0)
             seg = Segment(key + shift + y, y, kind)
             if in_s_alpha(seg, spec):
                 found.append(seg)

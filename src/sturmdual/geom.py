@@ -17,7 +17,7 @@ from .errors import (
     NonIntervalWindowError,
     SturmdualError,
 )
-from .quadfield import QUAD_ONE, QUAD_ZERO, Quad, SpectralData, spectral
+from .quadfield import QUAD_ONE, QUAD_ZERO, LatticeLine, Quad, SpectralData, spectral
 from .subst import Mat2, Substitution, fixed_point_prefix, letter_fixing_power
 
 _IDX = {"a": 0, "b": 1}
@@ -92,11 +92,15 @@ def _delta_offsets(sigma: Substitution, ell: Quad):
     table: dict[tuple[str, str], list[Quad]] = {
         (i, j): [] for i in "ab" for j in "ab"
     }
+    line = LatticeLine(ell)
     for j in "ab":
-        value = QUAD_ZERO
+        na = nb = 0  # letters a and b of the prefix
         for letter in sigma.image(j):
-            table[(letter, j)].append(value)
-            value = value + (QUAD_ONE if letter == "a" else ell)
+            table[(letter, j)].append(line.value(na, nb))
+            if letter == "a":
+                na += 1
+            else:
+                nb += 1
     return table
 
 
@@ -353,7 +357,10 @@ def cut_project_points(lat: SpectralData, window, phys_range, closed: str = "lo"
     lies in the window; the physical range is closed on both sides.
 
     closed selects the window convention: "lo" for [lo, hi) (the
-    default), "open" for (lo, hi).
+    default), "open" for (lo, hi).  Lattice points are integer pairs
+    (alpha, beta), and each bound is an integer sign test of
+    alpha + beta*ell or alpha + beta*ell'; a Quad is built only for
+    each point returned.
     """
     if closed not in ("lo", "open"):
         raise ValueError("closed must be 'lo' or 'open'")
@@ -362,23 +369,24 @@ def cut_project_points(lat: SpectralData, window, phys_range, closed: str = "lo"
     denom = lat.ell - lat.ell_conj
     if denom.sign() <= 0:
         raise SturmdualError("lattice basis is degenerate: ell <= ell'")
-    # beta*(ell - ell') is the physical minus the internal coordinate; per
-    # beta, alpha + beta*ell must lie in the range and alpha + beta*ell' in
-    # the closed window, so the alpha tested are the integers of an
-    # interval no longer than the window
-    beta_lo = ((rlo - whi) / denom).ceil()
-    beta_hi = ((rhi - wlo) / denom).floor()
+    # beta*(ell - ell') is the physical minus the internal coordinate, so
+    # it lies in [rlo - whi, rhi - wlo]; per beta, alpha + beta*ell must lie
+    # in the range and alpha + beta*ell' in the closed window, so the alpha
+    # tested are the integers of an interval no longer than the window
+    spread = LatticeLine(denom, whi - rlo, rhi - wlo)
+    beta_lo, beta_hi = -spread.ratio_floor(0), spread.ratio_floor(1)
+    phys = LatticeLine(lat.ell, rlo, rhi)
+    intern = LatticeLine(lat.ell_conj, wlo, whi)
+    lo_sign = 0 if closed == "open" else -1  # the sign of alpha + beta*ell' - lo exceeds it
     points = []
     for beta in range(beta_lo, beta_hi + 1):
-        phys_shift, intern_shift = lat.ell * beta, lat.ell_conj * beta
-        alo = max(rlo - phys_shift, wlo - intern_shift)
-        ahi = min(rhi - phys_shift, whi - intern_shift)
-        for alpha in range(alo.ceil(), ahi.floor() + 1):
-            intern = intern_shift + alpha
-            if (wlo <= intern if closed == "lo" else wlo < intern) and intern < whi:
-                points.append(phys_shift + alpha)
-    points.sort()
-    return points
+        # ceil(c - beta*x) is -floor(beta*x - c) and floor(c - beta*x) is -ceil(beta*x - c)
+        alo = -min(phys.floor(0, beta, 0), intern.floor(0, beta, 0))
+        ahi = -max(phys.ceil(0, beta, 1), intern.ceil(0, beta, 1))
+        for alpha in range(alo, ahi + 1):
+            if intern.sign(alpha, beta, 0) > lo_sign and intern.sign(alpha, beta, 1) < 0:
+                points.append((alpha, beta))
+    return [phys.value(alpha, beta) for alpha, beta in phys.ordered(points)]
 
 
 def cut_project_verify(sigma: Substitution, phys_range) -> bool:
@@ -391,57 +399,68 @@ def cut_project_verify(sigma: Substitution, phys_range) -> bool:
     Interior window points are all vertices; each window endpoint is the
     internal coordinate of at most one lattice point, which is a vertex
     exactly when the fixed-point prefix of the matching length has the
-    matching abelianization.  Both sides are computed exactly.
+    matching abelianization.  Both sides are compared as the integer
+    pairs (alpha, beta) of their points alpha + beta*ell.
+
+    The patch has no vertex below 0, so a range that reaches below 0 is
+    refused with SturmdualError.
     """
     rlo, rhi = (_as_quad(phys_range[0]), _as_quad(phys_range[1]))
+    if rlo.sign() < 0:
+        raise SturmdualError(
+            f"physical range [{rlo}, {rhi}] reaches below 0, where the fixed-point patch has no vertex"
+        )
     power, seed, _ = letter_fixing_power(sigma)
     t = tile_subst_from(sigma)
+    lat = lattice_for(sigma)
+    phys = LatticeLine(lat.ell, rlo, rhi)
     # the level-k patch holds the letters of sigma^k(seed), so it spans
     # [0, |sigma^k(seed)|_a + ell * |sigma^k(seed)|_b]
     step = sigma.matrix().power(power)
     levels, counts = 0, (1, 0) if seed == "a" else (0, 1)
     while True:
         levels, counts = levels + power, step.apply(counts)
-        extent = t.lengths[0] * counts[0] + t.lengths[1] * counts[1]
-        if extent >= rhi:
+        if phys.sign(*counts, 1) >= 0:
             break
     patch = iterate_patch(t, seed, levels)
-    vertices = [left for _, left in patch]
-    vertices.append(extent)
-    vertices = sorted(v for v in vertices if rlo <= v <= rhi)
+    vertices = [phys.coordinates(left) for _, left in patch] + [counts]
+    if None in vertices:  # a vertex off the lattice is in no model set
+        return False
+
+    def in_range(point):
+        return phys.sign(*point, 0) >= 0 >= phys.sign(*point, 1)
 
     rd = rauzy_decomposition(sigma)
-    lat = lattice_for(sigma)
-    model = cut_project_points(lat, rd.window(), (rlo, rhi), closed="open")
+    model = [phys.coordinates(p) for p in cut_project_points(lat, rd.window(), (rlo, rhi), closed="open")]
     word = "".join(letter for letter, _ in patch)
     for z in rd.window():
         point = _boundary_vertex(lat, z, word)
-        if point is not None and rlo <= point <= rhi and point not in model:
-            model.append(point)
-    model.sort()
-    return vertices == model
+        if point is not None:
+            point = phys.coordinates(point)
+            if in_range(point) and point not in model:
+                model.append(point)
+    return sorted(filter(in_range, vertices)) == sorted(model)
 
 
 def _boundary_vertex(lat: SpectralData, z: Quad, prefix_word: str) -> Quad | None:
     """Physical coordinate of the unique lattice point with internal
     coordinate z, when that point is a vertex of the fixed-point tiling.
 
-    z = alpha + beta*ell' gives beta = (z - z*) / (ell' - ell'*) and
-    alpha = z - beta*ell', which must both be integers."""
+    The integers with z = alpha + beta*ell' are read off by
+    LatticeLine.coordinates."""
     if z.d not in (0, lat.ell_conj.d):
         return None
-    beta_q = (z - z.star()) / (lat.ell_conj - lat.ell_conj.star())
-    alpha_q = z - beta_q * lat.ell_conj
-    alpha, beta = alpha_q.floor(), beta_q.floor()
-    if (alpha_q, beta_q) != (alpha, beta):
+    point = LatticeLine(lat.ell_conj).coordinates(z)
+    if point is None:
         return None
+    alpha, beta = point
     m = alpha + beta
     if m < 0 or m > len(prefix_word):
         return None
     piece = prefix_word[:m]
     if (piece.count("a"), piece.count("b")) != (alpha, beta):
         return None
-    return lat.ell * beta + alpha
+    return LatticeLine(lat.ell).value(alpha, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from math import gcd, isfinite, isqrt, lcm
 
 from .errors import ParseError, SturmdualError
@@ -101,6 +101,15 @@ def _surd_sign(a, b, n: int) -> int:
     if sa == 0:
         return sb
     return sa if a * a > b * b * n else sb
+
+
+def _surd_floor(a: int, b: int, n: int, d: int) -> int:
+    """Floor of (a + b*sqrt(d)) / n for integers a, b and n > 0, and d not
+    a square when b != 0: one isqrt."""
+    if b == 0:
+        return a // n
+    root = isqrt(b * b * d)  # b*b*d is never a square
+    return (a + root) // n if b > 0 else (a - root - 1) // n
 
 
 class Quad:
@@ -272,9 +281,7 @@ class Quad:
     def floor(self) -> int:
         if self.q == 0:
             return self.p.numerator // self.p.denominator
-        a, b, n = self._over_one_denominator()
-        root = isqrt(b * b * self.d)  # b*b*d is never a square
-        return (a + root) // n if b > 0 else (a - root - 1) // n
+        return _surd_floor(*self._over_one_denominator(), self.d)
 
     def ceil(self) -> int:
         return -(-self).floor()
@@ -296,6 +303,97 @@ QUAD_ONE = Quad(1)
 def sqrt_int(n: int) -> Quad:
     """Exact sqrt(n) for n >= 0 as a Quad."""
     return Quad(0, 1, n) if n else QUAD_ZERO
+
+
+class LatticeLine:
+    """The points alpha + beta*x of the lattice Z + Z*x, for integers alpha
+    and beta, tested against a few bounds over the integers.
+
+    x and each bound c are taken apart once, over one denominator n > 0
+    and one radicand d: x = (a + b*sqrt(d)) / n and c = (c0 + c1*sqrt(d)) / n.
+    Then alpha + beta*x - c = (alpha*n + beta*a - c0 + (beta*b - c1)*sqrt(d)) / n,
+    whose sign is one _surd_sign and whose floor one isqrt.  Only value()
+    builds a Quad.  A bound over another radicand than x raises
+    SturmdualError.
+    """
+
+    __slots__ = ("n", "a", "b", "d", "bounds")
+
+    def __init__(self, x, *bounds):
+        d = 0
+        values = []  # (rational part, surd part): Fractions or ints
+        for v in (x, *bounds):
+            if isinstance(v, Quad):
+                if v.d and v.d != d:
+                    if d:
+                        raise SturmdualError(f"incompatible radicands sqrt({d}) and sqrt({v.d})")
+                    d = v.d
+                values.append((v.p, v.q))
+            elif isinstance(v, (int, Fraction)):
+                values.append((v, 0))
+            else:
+                raise TypeError(f"expected a number, got {type(v).__name__}")
+        n = lcm(*(part.denominator for pair in values for part in pair))
+        parts = [
+            (p.numerator * (n // p.denominator), q.numerator * (n // q.denominator))
+            for p, q in values
+        ]
+        self.n, self.d = n, d
+        (self.a, self.b), *self.bounds = parts
+
+    def _minus_bound(self, alpha: int, beta: int, k: int) -> tuple[int, int]:
+        """n * (alpha + beta*x - c) for the k-th bound c, as (rational, surd) parts."""
+        c0, c1 = self.bounds[k]
+        return alpha * self.n + beta * self.a - c0, beta * self.b - c1
+
+    def sign(self, alpha: int, beta: int, k: int) -> int:
+        """Sign of alpha + beta*x - c for the k-th bound c."""
+        return _surd_sign(*self._minus_bound(alpha, beta, k), self.d)
+
+    def floor(self, alpha: int, beta: int, k: int) -> int:
+        """Floor of alpha + beta*x - c for the k-th bound c."""
+        return _surd_floor(*self._minus_bound(alpha, beta, k), self.n, self.d)
+
+    def ceil(self, alpha: int, beta: int, k: int) -> int:
+        """Ceiling of alpha + beta*x - c for the k-th bound c."""
+        p, q = self._minus_bound(alpha, beta, k)
+        return -_surd_floor(-p, -q, self.n, self.d)
+
+    def ratio_floor(self, k: int) -> int:
+        """Floor of c / x for the k-th bound c and x != 0."""
+        c0, c1 = self.bounds[k]
+        a, b, d = self.a, self.b, self.d
+        # c / x = (c0 + c1*sqrt(d)) * (a - b*sqrt(d)) / (a*a - b*b*d)
+        p, q, norm = c0 * a - c1 * b * d, c1 * a - c0 * b, a * a - b * b * d
+        return _surd_floor(p, q, norm, d) if norm > 0 else _surd_floor(-p, -q, -norm, d)
+
+    def value(self, alpha: int, beta: int) -> Quad:
+        """The Quad alpha + beta*x."""
+        q = Fraction(beta * self.b, self.n)
+        return Quad._canonical(Fraction(alpha * self.n + beta * self.a, self.n), q, self.d if q else 0)
+
+    def coordinates(self, z: Quad) -> tuple[int, int] | None:
+        """The integers (alpha, beta) with alpha + beta*x == z for an
+        irrational x, or None when z is not such a point."""
+        if z.d not in (0, self.d):
+            raise SturmdualError(f"incompatible radicands sqrt({self.d}) and sqrt({z.d})")
+        # z = (alpha*n + beta*a + beta*b*sqrt(d)) / n
+        beta, rem = divmod(z.q.numerator * self.n, z.q.denominator * self.b)
+        if rem:
+            return None
+        p = z.p
+        alpha, rem = divmod(p.numerator * self.n - beta * self.a * p.denominator, p.denominator * self.n)
+        return None if rem else (alpha, beta)
+
+    def ordered(self, points) -> list[tuple[int, int]]:
+        """The pairs (alpha, beta) in increasing order of alpha + beta*x."""
+        n, a, b, d = self.n, self.a, self.b, self.d
+
+        def compare(u, v):
+            da, db = u[0] - v[0], u[1] - v[1]
+            return _surd_sign(da * n + db * a, db * b, d)
+
+        return sorted(points, key=cmp_to_key(compare))
 
 
 def format_quad(x: Quad) -> str:

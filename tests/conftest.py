@@ -1,4 +1,5 @@
 import pytest
+import sympy
 
 from sturmdual.invert import generator_products
 from sturmdual.subst import Substitution
@@ -8,6 +9,13 @@ RHO = Substitution("aba", "ab")  # square of FIB
 SIG_UNCHANGED = Substitution("abaab", "ababaab")
 KRIEGER = Substitution("ab", "baabbaabbaabba")
 KRIEGER_PARTNER = Substitution("abbaab", "baabbaabba")
+
+
+def sympy_value(x):
+    """The value of a Quad as an exact sympy number."""
+    return sympy.Rational(x.p.numerator, x.p.denominator) + sympy.Rational(
+        x.q.numerator, x.q.denominator
+    ) * sympy.sqrt(x.d)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import time
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from sympy.ntheory.continued_fraction import continued_fraction_reduce
 
 import sturmdual
@@ -526,6 +526,14 @@ def test_render_tiling_and_strand():
     assert rz.count("<rect") == 2
 
 
+def test_render_names_the_iteration_that_broke_the_strand():
+    code, out, err = run_cli("render", "a->ab,b->baa", "--target", "dual_strand", "--iterations", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: dual_strand of a->ab,b->baa: the segments of iteration 1 do not form a strand\n"
+    # iteration 0 is the unit segment itself
+    assert run_cli("render", "a->ab,b->baa", "--target", "dual_strand", "--iterations", "0")[0] == 0
+
+
 def test_render_to_file(tmp_path):
     target = tmp_path / "out.svg"
     code, out, _ = run_cli(
@@ -605,4 +613,51 @@ def test_one_substitution_commands_end_in_an_answer_or_a_refusal(command, spec, 
         code, out, err = exc.code, "", ""
     assert code in (0, 1, 2), argv
     assert not _NON_FINITE.search(out + err), argv
+    assert time.perf_counter() - start < 10, argv
+
+
+_TWENTY_DIGITS = 10**20
+
+
+@st.composite
+def _range_literals(draw):
+    """A --range value: an integer or a fraction, small or 20 digits long,
+    of either sign, at times plus a surd over sqrt(5) (the field of the
+    substitutions drawn), another radicand or one too large to reduce."""
+    size = draw(st.sampled_from([300, _TWENTY_DIGITS]))
+    num = draw(st.integers(-size, size))
+    text = str(num) if draw(st.booleans()) else f"{num}/{draw(st.integers(1, size))}"
+    if draw(st.booleans()):
+        radicand = draw(st.sampled_from([5, 20, 2, 3, _TWENTY_DIGITS + 1]))
+        text += f"{draw(st.sampled_from('+-'))}{draw(st.integers(1, 9))}*sqrt({radicand})"
+    return text
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from(["a->aba,b->ab", "a->ba,b->babab", "a->bba,b->bbabbab"]),
+    lo=_range_literals() | st.sampled_from(["nan", "inf", "-inf"]),
+    json_flag=st.booleans(),
+    data=st.data(),
+)
+def test_cutproject_range_ends_in_an_answer_or_a_refusal(spec, lo, json_flag, data):
+    # zero width, a second drawn end (reversed, or over another field, as
+    # it falls), or lo plus up to twice the width cap
+    hi = data.draw(
+        st.just(lo)
+        | _range_literals()
+        | st.integers(0, 2 * cli.MAX_CUTPROJECT_WIDTH).map(lambda k: f"{lo}+{k}")
+    )
+    argv = ["cutproject", spec, "--range", lo, hi] + (["--json"] if json_flag else [])
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(*argv)
+    except SystemExit as exc:  # argparse refuses with exit status 2
+        code, out, err = exc.code, "", ""
+    assert code in (0, 1, 2), argv
+    event(f"exit {code}")
+    assert "Traceback" not in out + err, argv
+    # a refusal may quote a drawn nan or inf back, but nothing else may print one
+    quoted = err.replace(repr(lo), "").replace(repr(hi), "")
+    assert not _NON_FINITE.search(out + quoted), argv
     assert time.perf_counter() - start < 10, argv

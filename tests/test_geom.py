@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import FIB, RHO
+from conftest import FIB, RHO, sympy_value
 from sturmdual.cli import main
 from sturmdual.errors import (
     CoveringError,
@@ -284,6 +284,18 @@ def test_cut_project_verify_rho():
     assert cut_project_verify(RHO, (0, 30))
 
 
+def test_cut_project_verify_refuses_a_range_below_zero():
+    # the fixed-point patch starts at 0, so below 0 it has no vertex to
+    # compare; such a range is refused, not answered False
+    sigma = parse_substitution("a->aba,b->ab")
+    with pytest.raises(SturmdualError, match=r"range \[-5, 30\] reaches below 0"):
+        cut_project_verify(sigma, (-5, 30))
+    with pytest.raises(SturmdualError, match="reaches below 0"):
+        cut_project_verify(sigma, (Quad(F(1, 2), F(-1, 2), 5), 30))  # 1/2 - sqrt(5)/2 < 0
+    assert cut_project_verify(sigma, (0, 30))
+    assert cut_project_verify(sigma, (5, 30))
+
+
 def test_cut_project_widened_window_has_extra_points():
     rd = rauzy_decomposition(RHO)
     lat = lattice_for(RHO)
@@ -418,12 +430,6 @@ def _sympy_rotation_word(alpha, rho, convention: str, n: int) -> str:
     return "".join(out)
 
 
-def _sympy_value(x: Quad):
-    return sympy.Rational(x.p.numerator, x.p.denominator) + sympy.Rational(
-        x.q.numerator, x.q.denominator
-    ) * sympy.sqrt(x.d)
-
-
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 
 
@@ -445,7 +451,7 @@ def test_sturmian_word_matches_the_fractional_part_definition(p, q, d, r0, r1, n
     alpha = alpha - alpha.floor()
     rho = Quad(r0, r1, d)
     for convention in ("lower", "upper"):
-        want = _sympy_rotation_word(_sympy_value(alpha), _sympy_value(rho), convention, n)
+        want = _sympy_rotation_word(sympy_value(alpha), sympy_value(rho), convention, n)
         assert sturmian_word(alpha, rho, convention, n) == want, convention
 
 

@@ -10,11 +10,13 @@ import sympy
 from sympy.ntheory import continued_fraction_periodic
 from sympy.ntheory.continued_fraction import continued_fraction_reduce
 
+from conftest import sympy_value
 from sturmdual.cli import build_report, main
 from sturmdual.errors import ParseError, SturmdualError
 from sturmdual.invert import generator_products
 from sturmdual.quadfield import (
     CF,
+    LatticeLine,
     Quad,
     cf_dual_transform,
     cf_expand,
@@ -170,6 +172,68 @@ def test_floor_and_sign_match_sympy(parts):
     exact = sympy.Rational(pn, pd) + sympy.Rational(qn, qd) * sympy.sqrt(d)
     assert x.floor() == sympy.floor(exact)
     assert x.sign() == sympy.sign(exact)
+
+
+def test_lattice_line_matches_sympy():
+    # i + j*x - c for seeded integers i, j (small, and 20 digits of either
+    # sign) and Quads x, c over one field, either of them rational at times
+    rng = random.Random(20261019)
+
+    def integer():
+        return rng.choice([rng.randint(-50, 50), rng.randint(10**19, 10**20 - 1) * rng.choice([-1, 1])])
+
+    def quad(d):
+        p = F(rng.randint(-40, 40), rng.randint(1, 12))
+        return Quad(p) if rng.random() < 0.15 else Quad(p, F(rng.randint(-40, 40) or 1, rng.randint(1, 12)), d)
+
+    checked = 0
+    for _ in range(150):
+        d = rng.choice([2, 3, 5, 6, 7, 13])
+        x, c = quad(d), quad(d)
+        line = LatticeLine(x, c, 0)
+        pairs = [(integer(), integer()) for _ in range(2)]
+        for i, j in pairs:
+            exact = i + j * sympy_value(x) - sympy_value(c)
+            assert line.sign(i, j, 0) == sympy.sign(exact), (i, j, x, c)
+            assert line.floor(i, j, 0) == sympy.floor(exact), (i, j, x, c)
+            assert line.ceil(i, j, 0) == sympy.ceiling(exact), (i, j, x, c)
+            assert sympy_value(line.value(i, j)) - (i + j * sympy_value(x)) == 0
+            if not x.is_rational:
+                assert line.coordinates(line.value(i, j)) == (i, j)
+                assert line.coordinates(line.value(i, j) + F(1, 2)) is None
+            checked += 1
+        if not x.is_rational and pairs[0] != pairs[1]:
+            (i0, j0), (i1, j1) = pairs
+            gap = sympy.sign(i1 - i0 + (j1 - j0) * sympy_value(x))
+            assert line.ordered(pairs) == (pairs if gap > 0 else pairs[::-1])
+        if x.sign():
+            assert line.ratio_floor(0) == sympy.floor(sympy_value(c) / sympy_value(x)), (x, c)
+    assert checked == 300
+
+
+def test_lattice_line_examples():
+    line = LatticeLine(TAU, 3, TAU)  # tau = 1.618...
+    assert line.value(1, 1) == Quad(F(3, 2), F(1, 2), 5) == TAU + 1
+    assert line.coordinates(TAU + 1) == (1, 1)
+    assert line.coordinates(TAU / 2) is None
+    # against the bound 3: 2 + tau - 3 = 0.618, 1 + tau - 3 = -0.382, tau - tau = 0
+    assert (line.sign(2, 1, 0), line.floor(2, 1, 0), line.ceil(2, 1, 0)) == (1, 0, 1)
+    assert (line.sign(1, 1, 0), line.floor(1, 1, 0), line.ceil(1, 1, 0)) == (-1, -1, 0)
+    assert (line.sign(0, 1, 1), line.floor(0, 1, 1), line.ceil(0, 1, 1)) == (0, 0, 0)
+    assert line.ratio_floor(0) == 1  # 3 / tau = 1.854
+    # 4.618, 2.618, 3.236, 3.854: exact order, the first two with equal beta
+    assert line.ordered([(3, 1), (1, 1), (0, 2), (-1, 3)]) == [(1, 1), (0, 2), (-1, 3), (3, 1)]
+
+
+def test_lattice_line_refuses_a_second_field():
+    with pytest.raises(SturmdualError, match="incompatible radicands"):
+        LatticeLine(Quad(0, 1, 5), Quad(0, 1, 3))
+    with pytest.raises(SturmdualError, match="incompatible radicands"):
+        LatticeLine(Quad(1), 0, Quad(F(1, 2), 1, 2), Quad(0, 1, 7))
+    with pytest.raises(SturmdualError, match="incompatible radicands"):
+        LatticeLine(TAU).coordinates(Quad(0, 1, 2))
+    # a rational bound fits every field
+    assert LatticeLine(TAU, F(1, 3), 2).sign(0, 1, 0) == 1
 
 
 @settings(max_examples=40, deadline=None)
