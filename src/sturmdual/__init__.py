@@ -35,7 +35,6 @@ from .subst import (
     fixed_point_prefix,
     hulls_equal_upto,
     is_sturmian_language,
-    parse_endo,
     parse_substitution,
 )
 from .invert import (
@@ -72,12 +71,10 @@ from .geom import (
     characteristic_word,
     cut_project_points,
     cut_project_verify,
-    e_matrix,
     iterate_patch,
     lattice_for,
     rauzy_decomposition,
     star_dual,
-    star_relation_check,
     sturmian_word,
     tile_subst_from,
     tile_subst_from_digits,

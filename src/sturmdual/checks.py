@@ -51,7 +51,8 @@ def complexity(corpus, length: int = 30) -> CheckResult:
     """p(n) = n + 1 up to length on primitive members, but not for KRIEGER_PAIR[0]."""
     result = _for_all(
         _primitive(corpus), lambda s: is_sturmian_language(s, length),
-        "complexity escaped n+1 for {}", "factor counts are n+1 on the invertible corpus",
+        f"complexity escaped n+1 up to length {length} for {{}}",
+        f"factor counts are n+1 up to length {length} on the invertible corpus",
     )
     if result.ok and is_sturmian_language(KRIEGER_PAIR[0], 10):
         detail = "non-invertible example shows Sturmian complexity"
@@ -64,7 +65,8 @@ def power_hull(corpus) -> CheckResult:
     return _for_all(
         _primitive(corpus),
         lambda s: all(hulls_equal_upto(s, s.power(n), 12) for n in (2, 3)),
-        "a power of {} changed the factor sets", "factor sets are power-invariant",
+        "a power of {} changed the factor sets up to length 12",
+        "powers 2 and 3 keep the factor sets up to length 12",
     )
 
 
@@ -80,8 +82,8 @@ def reciprocal_dual(corpus, length: int = 20) -> CheckResult:
 
     return _for_all(
         _primitive(corpus, _det_one), holds,
-        "reciprocal and dual factor sets differ for {}",
-        "reciprocal and dual substitutions generate the same language",
+        f"reciprocal and dual factor sets up to length {length} differ for {{}}",
+        f"reciprocal and dual substitutions have equal factor sets up to length {length}",
     )
 
 
@@ -229,15 +231,6 @@ def cf_dual(corpus, min_distinct: int = 0) -> CheckResult:
         detail = f"only {result.checked} distinct frequencies available"
         return CheckResult(False, result.checked, detail)
     return result
-
-
-def star_relation(corpus) -> CheckResult:
-    """Starred transposed digits equal the window digits over lambda (unimodular)."""
-    return _for_all(
-        _primitive(corpus, Substitution.is_unimodular), geom.star_relation_check,
-        "digit matrix identity fails for {}",
-        "starred transpose equals the scaled window digits everywhere",
-    )
 
 
 def cut_project(corpus) -> CheckResult:

@@ -57,6 +57,11 @@ MAX_STURMIAN_LITERAL = 100
 # faster than linearly in it; on random invertible words at the cap the
 # slowest, stardual, took under 4 s on a 2-vCPU host (5.7 s at 5000)
 MAX_SUBSTITUTION_LETTERS = 3000
+# caps on verify --count (dual-contravariance draws about 7000 pairs a
+# second) and --length (the factor sets compared grow with the length;
+# reciprocal-dual on its corpus took 11 s at length 200 on a 2-vCPU host)
+MAX_VERIFY_COUNT = 10000
+MAX_VERIFY_LENGTH = 100
 
 def _exact(a: int, b: int, n: int, d: int) -> dict:
     """The report entry of (a + b*sqrt(d)) / n, n > 0, printed from the integers."""
@@ -181,6 +186,8 @@ def _check_levels(m: Mat2, option: str, levels: int, cap: int, pieces: str) -> N
         if total > cap:
             raise SturmdualError(f"{option} {levels} builds more than the cap of {cap} {pieces}")
         vec = m.apply(vec)
+        if vec == (0, 0):  # no later level holds a piece (a row of m is zero)
+            return
 
 
 def cmd_analyze(args, out) -> int:
@@ -305,13 +312,16 @@ def cmd_stardual(args, out) -> int:
 def cmd_cutproject(args, out) -> int:
     sigma = _load_subst(args.spec, args.square)
     lo, hi = parse_quad(args.range[0]), parse_quad(args.range[1])
+    lat = geom.lattice_for(sigma)
+    field = lat.ell.d
+    for end in (lo, hi):
+        if end.d not in (0, field):
+            raise SturmdualError(f"--range end {end} is not in Q(sqrt({field})), the field of {sigma}")
+    if hi < lo:
+        raise SturmdualError(f"--range {lo} {hi} is reversed: its low end exceeds its high end")
     if hi - lo > MAX_CUTPROJECT_WIDTH:
         raise SturmdualError(f"--range width {hi - lo} exceeds the cap {MAX_CUTPROJECT_WIDTH}")
-    points = geom.cut_project_points(
-        geom.lattice_for(sigma),
-        geom.rauzy_decomposition(sigma).window(),
-        (lo, hi),
-    )
+    points = geom.cut_project_points(lat, geom.rauzy_decomposition(sigma).window(), (lo, hi))
     if args.json:
         out.write(json.dumps([format_quad(p) for p in points]) + "\n")
     else:
@@ -403,7 +413,6 @@ VERIFY_SUITES = {
     "selfdual-forms": lambda a: checks.selfdual_forms(_corpus(a.max_len)),
     "palindrome": lambda a: checks.palindrome(_corpus(a.max_len)),
     "cf-dual": lambda a: checks.cf_dual(_corpus(a.max_len), 30 if a.max_len >= 8 else 0),
-    "star-relation": lambda a: checks.star_relation(_corpus(min(a.max_len, 6))),
     "cut-project": lambda a: checks.cut_project(_corpus(min(a.max_len, 5))),
 }
 
@@ -432,9 +441,12 @@ def cmd_verify(args, out) -> int:
         raise SturmdualError(
             f"--max-len {args.max_len} is outside 1..{MAX_GENERATOR_LEN}"
         )
-    for option, value in (("--count", args.count), ("--length", args.length)):
-        if value is not None and value < 1:
-            raise SturmdualError(f"{option} {value} is not positive")
+    for option, value, cap in (
+        ("--count", args.count, MAX_VERIFY_COUNT),
+        ("--length", args.length, MAX_VERIFY_LENGTH),
+    ):
+        if value is not None and not 1 <= value <= cap:
+            raise SturmdualError(f"{option} {value} is outside 1..{cap}")
     suites = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
     results = [_run_suite(suite, args, out) for suite in suites]
     return 0 if all(results) else 1
@@ -449,7 +461,7 @@ _COLORS = {"a": "#4a78b8", "b": "#d98032"}
 
 def _svg_document(width: float, height: float, body: list[str]) -> str:
     if not (isfinite(width) and isfinite(height)):
-        raise SturmdualError(f"SVG size {width} x {height} is not finite; lower the scale")
+        raise SturmdualError("the SVG size overflows the float range; lower the scale")
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.1f}" '
         f'height="{height:.1f}" viewBox="0 0 {width:.1f} {height:.1f}">\n'

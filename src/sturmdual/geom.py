@@ -57,11 +57,6 @@ class DigitMatrix:
             tuple(tuple(frozenset(d.star() for d in cell) for cell in row) for row in self.entries)
         )
 
-    def scale(self, factor: Quad) -> "DigitMatrix":
-        return DigitMatrix(
-            tuple(tuple(frozenset(d * factor for d in cell) for cell in row) for row in self.entries)
-        )
-
     def cardinalities(self) -> Mat2:
         e = self.entries
         return Mat2(len(e[0][0]), len(e[0][1]), len(e[1][0]), len(e[1][1]))
@@ -86,24 +81,6 @@ class TileSubst:
     digits: DigitMatrix
 
 
-def _delta_offsets(sigma: Substitution, ell: Quad):
-    """Per (target letter, source letter): prefix valuations at the positions
-    of the target letter, using tile lengths (1, ell)."""
-    table: dict[tuple[str, str], list[Quad]] = {
-        (i, j): [] for i in "ab" for j in "ab"
-    }
-    line = LatticeLine(ell)
-    for j in "ab":
-        na = nb = 0  # letters a and b of the prefix
-        for letter in sigma.image(j):
-            table[(letter, j)].append(line.value(na, nb))
-            if letter == "a":
-                na += 1
-            else:
-                nb += 1
-    return table
-
-
 def tile_subst_from(sigma: Substitution) -> TileSubst:
     """Canonical tile-substitution of a primitive unimodular substitution.
 
@@ -112,10 +89,17 @@ def tile_subst_from(sigma: Substitution) -> TileSubst:
     of i in the image of j.
     """
     spec = spectral(sigma.matrix())
-    table = _delta_offsets(sigma, spec.ell)
-    digits = DigitMatrix.from_lists(
-        [[table[("a", "a")], table[("a", "b")]], [table[("b", "a")], table[("b", "b")]]]
-    )
+    line = LatticeLine(spec.ell)
+    rows: list[list[list[Quad]]] = [[[], []], [[], []]]
+    for j in "ab":
+        na = nb = 0  # letters a and b of the prefix
+        for letter in sigma.image(j):
+            rows[_IDX[letter]][_IDX[j]].append(line.value(na, nb))
+            if letter == "a":
+                na += 1
+            else:
+                nb += 1
+    digits = DigitMatrix.from_lists(rows)
     if digits.cardinalities() != sigma.matrix():
         raise SturmdualError(f"digit counts of {sigma} differ from its matrix")
     return TileSubst(
@@ -272,11 +256,18 @@ class RauzyDecomposition:
 
 
 def rauzy_decomposition(sigma: Substitution) -> RauzyDecomposition:
-    """Exact window intervals from the conjugate valuation of prefixes.
+    """Exact window intervals: the star-dual's prototiles scaled by lambda.
 
-    The endpoints solve the interval set equation exactly (they are
-    strict limits of prefix valuations, so sampling alone cannot attain
-    them); a prefix sample of the fixed point is checked for containment.
+    The window R_i is the union of lambda' * R_j + v over the conjugate
+    valuations v of the prefixes before each occurrence of i in the
+    image of j.  For determinant +1, lambda' = 1/lambda, so lambda^-1 R
+    solves the set equation of the star-dual, whose digits are the
+    starred transpose of the tile digits: R_i = lambda * T*_i.  Its
+    endpoints are exact (they are strict limits of prefix valuations,
+    so sampling alone cannot attain them).  A prefix sample of the
+    fixed point then checks that the scaled star-dual prototiles are
+    the windows: each conjugate prefix valuation lies in the window of
+    the letter that follows it.
     """
     if not sigma.is_primitive():
         raise SturmdualError(f"{sigma} is not primitive")
@@ -287,25 +278,20 @@ def rauzy_decomposition(sigma: Substitution) -> RauzyDecomposition:
         )
     if det != 1:
         raise SturmdualError(f"{sigma} is not unimodular")
-    spec = spectral(sigma.matrix())
-    ratio = spec.lam_conj  # equals 1/lambda, in (0, 1)
-    table = _delta_offsets(sigma, spec.ell_conj)
-    maps = {
-        i: [(j, off) for j in "ab" for off in table[(i, j)]]
-        for i in "ab"
-    }
     try:
-        lo, hi = solve_interval_ifs(maps, ratio)
+        t = star_dual(tile_subst_from(sigma))
     except CoveringError as exc:
         raise NonIntervalWindowError(
             f"window of {sigma} is not a pair of intervals (not invertible)"
         ) from exc
+    lo = {x: t.inflation * t.offsets[_IDX[x]] for x in "ab"}
+    hi = {x: t.inflation * (t.offsets[_IDX[x]] + t.lengths[_IDX[x]]) for x in "ab"}
 
-    # cross-check: prefix valuations land inside the solved windows
+    ell_conj = spectral(sigma.matrix()).ell_conj
     prefix = fixed_point_prefix(sigma, _PREFIX_SAMPLE)
     value = QUAD_ZERO
     for m in range(1, len(prefix)):
-        value = value + (QUAD_ONE if prefix[m - 1] == "a" else spec.ell_conj)
+        value = value + (QUAD_ONE if prefix[m - 1] == "a" else ell_conj)
         nxt = prefix[m]
         if not (lo[nxt] <= value <= hi[nxt]):
             raise NonIntervalWindowError(
@@ -314,31 +300,6 @@ def rauzy_decomposition(sigma: Substitution) -> RauzyDecomposition:
     if max(lo["a"], lo["b"]) > min(hi["a"], hi["b"]):
         raise SturmdualError(f"the two windows of {sigma} do not meet")
     return RauzyDecomposition(r_a=(lo["a"], hi["a"]), r_b=(lo["b"], hi["b"]))
-
-
-def e_matrix(sigma: Substitution) -> DigitMatrix:
-    """Digit sets of the window set equation, inflated by the dominant
-    eigenvalue: cell (j, i) collects lambda * conjugate-valuation of the
-    prefixes before each occurrence of i in the image of j."""
-    spec = spectral(sigma.matrix())
-    table = _delta_offsets(sigma, spec.ell_conj)
-    rows = [
-        [
-            [spec.lam * off for off in table[(i, j)]]
-            for i in "ab"
-        ]
-        for j in "ab"
-    ]
-    return DigitMatrix.from_lists(rows)
-
-
-def star_relation_check(sigma: Substitution) -> bool:
-    """Exact identity: starred transpose of the digit matrix equals the
-    window digit matrix scaled by 1/lambda."""
-    t = tile_subst_from(sigma)
-    e = e_matrix(sigma)
-    lam = spectral(sigma.matrix()).lam
-    return t.digits.star().transpose() == e.scale(QUAD_ONE / lam)
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,8 @@ IDENTITY = Substitution("a", "b")
 _RULE_RE = re.compile(r"^([ab])->([abAB]*)$")
 
 
-def _parse_rules(text: str) -> dict[str, str]:
+def parse_substitution(text: str) -> Substitution:
+    """Parse ``a->W,b->W`` with W nonempty over ab (``;`` also separates)."""
     compact = "".join(text.split())
     parts = [p for p in re.split(r"[,;]", compact) if p]
     rules: dict[str, str] = {}
@@ -197,25 +198,10 @@ def _parse_rules(text: str) -> dict[str, str]:
         rules[letter] = image
     if set(rules) != {"a", "b"}:
         raise ParseError("need exactly one rule for each of a and b")
-    return rules
-
-
-def parse_substitution(text: str) -> Substitution:
-    """Parse ``a->W,b->W`` with W nonempty over ab (``;`` also separates)."""
-    rules = _parse_rules(text)
     for letter, image in rules.items():
         if not image or not words.is_positive(image):
             raise ParseError(f"rule for {letter!r} must be a nonempty word over ab")
     return Substitution(rules["a"], rules["b"])
-
-
-def parse_endo(text: str) -> FreeEndo:
-    """Parse ``a->W,b->W`` with W over abAB (``e`` allowed for empty)."""
-    rules = _parse_rules(text)
-    return FreeEndo(
-        words.reduce_word(rules["a"] if rules["a"] != "e" else ""),
-        words.reduce_word(rules["b"] if rules["b"] != "e" else ""),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from .errors import ParseError
 LETTERS = "ab"
 SIGNED_LETTERS = "abAB"
 
-_SWAP = str.maketrans("abAB", "baBA")
 _FLIP_A = str.maketrans("aA", "Aa")
 _DROP_LETTERS = str.maketrans("", "", LETTERS)
 
@@ -80,22 +79,9 @@ def abelianize(u: str) -> tuple[int, int]:
     return (u.count("a") - u.count("A"), u.count("b") - u.count("B"))
 
 
-def swap_letters(u: str) -> str:
-    """Exchange the roles of a and b, preserving signs.  Involution."""
-    return u.translate(_SWAP)
-
-
 def flip_a(u: str) -> str:
     """Map a to its inverse and back, fixing b.  Involution."""
     return reduce_word(u.translate(_FLIP_A))
-
-
-def parse_word(text: str) -> str:
-    """Parse a word over [abAB]; the single letter "e" denotes the empty word."""
-    text = text.strip()
-    if text == "e":
-        return ""
-    return check_reduced(text)
 
 
 def format_word(u: str) -> str:

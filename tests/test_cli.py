@@ -14,7 +14,8 @@ from sympy.ntheory.continued_fraction import continued_fraction_reduce
 
 import sturmdual
 from sturmdual import cli
-from sturmdual.checks import CheckResult
+from sturmdual import checks
+from sturmdual.checks import KRIEGER_PAIR, CheckResult
 from sturmdual.cli import (
     VERIFY_SUITES,
     build_parser,
@@ -212,6 +213,18 @@ def test_python_dash_m_runs_the_cli():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[2; (2)]\n", "")
 
 
+def test_cutproject_refuses_a_reversed_range():
+    code, out, err = run_cli("cutproject", "a->aba,b->ab", "--range", "5", "1", "--json")
+    assert (code, out) == (1, "")
+    assert err == "error: --range 5 1 is reversed: its low end exceeds its high end\n"
+
+
+def test_cutproject_names_the_field_a_range_end_is_outside():
+    code, out, err = run_cli("cutproject", "a->aba,b->ab", "--range", "0", "sqrt(3)")
+    assert (code, out) == (1, "")
+    assert err == "error: --range end sqrt(3) is not in Q(sqrt(5)), the field of a->aba,b->ab\n"
+
+
 def test_cutproject_beyond_float_range_is_a_domain_error():
     lo, hi = str(10**400), str(10**400 + 5)
     code, _, err = run_cli("cutproject", "a->aba,b->ab", "--range", lo, hi)
@@ -267,6 +280,9 @@ def test_enumerate_deterministic_and_counts():
         ("conjugate", "a->ab,b->a", "a->b,b->" + "a" * cli.MAX_SUBSTITUTION_LETTERS),
         # 104 letters, but the square holds 100**2 + 2*100 + 5
         ("dual", "a->" + "a" * 100 + "b,b->ab", "--square"),
+        # the transposed matrix has a zero row, so the dual strand's levels
+        # are empty from level 1 on and never reach the segment cap
+        ("render", "a->b,b->b", "--target", "dual_strand", "--iterations", str(10**18)),
     ],
 )
 def test_oversized_runs_are_refused_before_the_work(argv):
@@ -366,7 +382,7 @@ def test_enumerate_json_bytes_are_pinned():
 SUITES = (
     "complexity", "power-hull", "conjugacy-matrix", "rigidity", "dual-contravariance",
     "window-stability", "strand-connectivity", "dual-frequency", "reciprocal-dual",
-    "selfdual-forms", "palindrome", "cf-dual", "star-relation", "cut-project",
+    "selfdual-forms", "palindrome", "cf-dual", "cut-project",
 )
 
 
@@ -403,7 +419,22 @@ def test_verify_suites_smoke():
         suite, status, detail, checked = m.groups()
         if checked == "0":
             assert (status, detail) == ("FAIL", f"{suite} checked nothing at --max-len 1")
-    assert sum(m.group(2) == "FAIL" for m in lines) == 13, out
+    assert sum(m.group(2) == "FAIL" for m in lines) == 12, out
+
+
+def test_verify_details_name_their_bounds():
+    for argv, bound in (
+        (("complexity", "--max-len", "3"), "up to length 30"),
+        (("complexity", "--max-len", "3", "--length", "12"), "up to length 12"),
+        (("power-hull", "--max-len", "3"), "powers 2 and 3 keep the factor sets up to length 12"),
+        (("reciprocal-dual", "--max-len", "4"), "up to length 20"),
+        (("reciprocal-dual", "--max-len", "4", "--length", "9"), "up to length 9"),
+    ):
+        code, out, _ = run_cli("verify", *argv)
+        assert code == 0 and bound in VERIFY_LINE.match(out.rstrip("\n")).group(3), argv
+    # a counterexample names the bound too
+    result = checks.complexity([KRIEGER_PAIR[0]], 10)
+    assert not result.ok and "up to length 10" in result.detail
 
 
 def test_verify_fail_exits_1(monkeypatch):
@@ -659,5 +690,98 @@ def test_cutproject_range_ends_in_an_answer_or_a_refusal(spec, lo, json_flag, da
     assert "Traceback" not in out + err, argv
     # a refusal may quote a drawn nan or inf back, but nothing else may print one
     quoted = err.replace(repr(lo), "").replace(repr(hi), "")
+    assert not _NON_FINITE.search(out + quoted), argv
+    assert time.perf_counter() - start < 10, argv
+
+
+def _past(cap: int):
+    """Integers 0, small ones of either sign, one past the cap and far past it."""
+    return st.integers(-3, 3) | st.sampled_from([cap + 1, 10**18, -(10**18)])
+
+
+_QUADRATIC_LITERALS = (
+    _range_literals()
+    | st.sampled_from(["3/2-1/2*sqrt(5)", "sqrt(2)-1", "1/2", "0", "nan", "inf", "-inf"])
+    # prints in more than MAX_STURMIAN_LITERAL characters
+    | st.just("sqrt(2)-1+1/" + "7" * cli.MAX_STURMIAN_LITERAL)
+)
+_CF_LITERALS = st.sampled_from(
+    ["[0; 2, (1)]", "[1; (2)]", "[0; 1, 1, (2)]", "[3]", "[1; 2, (1/0)]", "[0; (0)]", "[]"]
+)
+# three draws in four are substitutions, the fourth a parse error
+_SPECS = st.one_of(
+    *[_drawn_substitutions()] * 3, st.sampled_from(["a->ab", "a->ab,b->", "a->ac,b->a", ""])
+)
+_SLOPES = st.sampled_from(["3/2-1/2*sqrt(5)", "sqrt(2)-1", "1/2*sqrt(5)-1"])
+
+
+@st.composite
+def _other_command_lines(draw, command):
+    """An argv of command with drawn values: each integer option 0, small
+    of either sign, or past its cap; each literal a quadratic value, a
+    continued fraction, nan or inf.  The cost grows with the corpus, the
+    level or the length, so values below a cap are kept small (a tiling
+    at its tile cap takes 2.6 s, a render 4 s, on 2 vCPUs)."""
+
+    def flag(option):
+        return [option] if draw(st.booleans()) else []
+
+    if command == "conjugate":
+        spec = draw(_SPECS)
+        return [command, spec, draw(st.just(spec) | _SPECS)]
+    if command == "sturmian":
+        argv = [command, draw(_SLOPES | _QUADRATIC_LITERALS), "-n", str(draw(
+            st.integers(-3, 300) | st.sampled_from([cli.MAX_STURMIAN_LENGTH + 1, 10**18])
+        ))]
+        if draw(st.booleans()):
+            argv.append(f"--rho={draw(_SLOPES | _QUADRATIC_LITERALS)}")
+        return argv + flag("--upper")
+    if command == "cf":
+        return [command, draw(_QUADRATIC_LITERALS | _CF_LITERALS)] + flag("--dual") + flag("--test-selfdual")
+    if command == "enumerate":
+        argv = [command, "--max-len", str(draw(st.integers(-3, 4) | _past(cli.MAX_GENERATOR_LEN)))]
+        if draw(st.booleans()):
+            argv += ["--det", str(draw(st.sampled_from([1, -1, 0, 2])))]
+        return argv + flag("--primitive") + flag("--selfdual") + flag("--json")
+    if command == "verify":
+        suite = draw(st.sampled_from(sorted(VERIFY_SUITES) + ["all", "no-such-suite"]))
+        return [
+            command, suite,
+            "--max-len", str(draw(st.integers(1, 3) | _past(cli.MAX_GENERATOR_LEN))),
+            "--count", str(draw(st.integers(1, 50) | _past(cli.MAX_VERIFY_COUNT))),
+            "--length", str(draw(st.integers(1, 40) | _past(cli.MAX_VERIFY_LENGTH))),
+        ]
+    if command == "tiling":
+        depth = draw(st.integers(-3, 2) | st.sampled_from([10**18]))
+        return [command, draw(_SPECS), "--depth", str(depth)] + flag("--json")
+    scale = draw(st.sampled_from(["24", "0.5", "0", "-1", "1e308", "nan", "inf", "-inf", "x"]))
+    return [
+        command, draw(_SPECS),
+        f"--target={draw(st.sampled_from(['strand', 'dual_strand', 'tiling', 'rauzy', 'x']))}",
+        "--iterations", str(draw(st.integers(-3, 2) | st.sampled_from([10**18]))),
+        f"--scale={scale}",
+    ]
+
+
+@pytest.mark.parametrize(
+    "command", ["conjugate", "sturmian", "cf", "enumerate", "verify", "tiling", "render"]
+)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_other_commands_end_in_an_answer_or_a_refusal(command, data):
+    argv = data.draw(_other_command_lines(command))
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(*argv)
+    except SystemExit as exc:  # argparse refuses with exit status 2
+        code, out, err = exc.code, "", ""
+    assert code in (0, 1, 2), argv
+    event(f"exit {code}")
+    assert "Traceback" not in out + err, argv
+    # a refusal may quote a drawn nan or inf back, but nothing else may print one
+    quoted = err
+    for token in argv:
+        value = token.split("=", 1)[-1]
+        quoted = quoted.replace(repr(value), "").replace(value, "")
     assert not _NON_FINITE.search(out + quoted), argv
     assert time.perf_counter() - start < 10, argv

@@ -20,12 +20,10 @@ from sturmdual.geom import (
     characteristic_word,
     cut_project_points,
     cut_project_verify,
-    e_matrix,
     iterate_patch,
     lattice_for,
     rauzy_decomposition,
     star_dual,
-    star_relation_check,
     sturmian_word,
     tile_subst_from,
     tile_subst_from_digits,
@@ -238,24 +236,17 @@ def test_rauzy_guards():
 
 
 def test_e_matrix_rho():
-    e = e_matrix(RHO)
+    # the paper's E-matrix, the digits of the window set equation, is
+    # lambda times the digit matrix of the star-dual
+    sd = star_dual(tile_subst_from(RHO))
+    e = DigitMatrix.from_lists(
+        [[{sd.inflation * d for d in cell} for cell in row] for row in sd.digits.entries]
+    )
     tau_sq = TAU * TAU
     expected = DigitMatrix.from_lists(
         [[{Quad(0), -TAU}, {tau_sq}], [{Quad(0)}, {tau_sq}]]
     )
     assert e == expected
-
-
-def test_star_relation(corpus8_primitive):
-    assert star_relation_check(RHO)
-    count = 0
-    for sub in corpus8_primitive:
-        if not sub.is_unimodular():
-            continue
-        assert star_relation_check(sub)
-        count += 1
-        if count >= 50:
-            break
 
 
 def test_corpus_tile_substitutions_cover_exactly(corpus8_primitive):

@@ -17,7 +17,6 @@ from sturmdual.subst import (
     fixed_point_prefix,
     hulls_equal_upto,
     is_sturmian_language,
-    parse_endo,
     parse_substitution,
 )
 
@@ -198,7 +197,6 @@ def test_conjugate_power_search():
 def test_parse_substitution():
     assert parse_substitution("a->ab, b->a") == FIB
     assert parse_substitution("b->a;a->ab") == FIB
-    assert parse_endo("a->Ba,b->Abb") == FreeEndo("Ba", "Abb")
     for bad in ["a->ab", "a->ab,b->", "a->ab,b->ca", "a->ab,a->a,b->a"]:
         with pytest.raises(ParseError):
             parse_substitution(bad)

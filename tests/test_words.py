@@ -60,32 +60,26 @@ def test_abelianize_examples():
     assert words.abelianize("") == (0, 0)
 
 
-def test_swap_and_flip_examples():
-    assert words.swap_letters("aab") == "bba"
+def test_flip_examples():
     # the letter flip turns a^{-1}bb into abb
     assert words.flip_a("Abb") == "abb"
     assert words.flip_a(words.flip_a("aBAb")) == "aBAb"
 
 
 @given(signed_words)
-def test_swap_flip_involutions_commute_with_invert(u):
-    assert words.swap_letters(words.swap_letters(u)) == u
+def test_flip_involution_commutes_with_invert(u):
     assert words.flip_a(words.flip_a(u)) == u
-    assert words.swap_letters(words.invert_word(u)) == words.invert_word(
-        words.swap_letters(u)
-    )
     assert words.flip_a(words.invert_word(u)) == words.invert_word(words.flip_a(u))
 
 
 def test_parse_and_format():
-    assert words.parse_word("abAB") == "abAB"
-    assert words.parse_word("e") == ""
+    assert words.check_reduced("abAB") == "abAB"
     assert words.format_word("") == "e"
     assert words.format_word("aB") == "aB"
     with pytest.raises(ParseError):
-        words.parse_word("abc")
+        words.check_reduced("abc")
     with pytest.raises(ParseError):
-        words.parse_word("aA")
+        words.check_reduced("aA")
 
 
 def test_check_positive():
