@@ -62,6 +62,13 @@ MAX_SUBSTITUTION_LETTERS = 3000
 # reciprocal-dual on its corpus took 11 s at length 200 on a 2-vCPU host)
 MAX_VERIFY_COUNT = 10000
 MAX_VERIFY_LENGTH = 100
+# cap on the corpus size times the squared length of the complexity suite,
+# the one suite whose time grows with both: at the largest length each
+# --max-len admits (31 at 10, 46 at 9, 68 at 8, 100 at 7) it took 12-19 s
+# on a 2-vCPU host, and every other suite together under 10 s
+MAX_VERIFY_WORK = 7 * 10**6
+# the factor length of the complexity suite when --length is not given
+COMPLEXITY_LENGTH = 30
 
 def _exact(a: int, b: int, n: int, d: int) -> dict:
     """The report entry of (a + b*sqrt(d)) / n, n > 0, printed from the integers."""
@@ -173,6 +180,11 @@ def _load_subst(text: str, square: bool = False) -> Substitution:
     m = sigma.matrix()
     _check_letters(sum(m.apply(m.apply((1, 1)))), "its square")
     return sigma.power(2)
+
+
+def _check_within(option: str, value: int, cap: int) -> None:
+    if not 1 <= value <= cap:
+        raise SturmdualError(f"{option} {value} is outside 1..{cap}")
 
 
 def _check_levels(m: Mat2, option: str, levels: int, cap: int, pieces: str) -> None:
@@ -331,8 +343,7 @@ def cmd_cutproject(args, out) -> int:
 
 
 def cmd_sturmian(args, out) -> int:
-    if not 1 <= args.length <= MAX_STURMIAN_LENGTH:
-        raise SturmdualError(f"--length {args.length} is outside 1..{MAX_STURMIAN_LENGTH}")
+    _check_within("--length", args.length, MAX_STURMIAN_LENGTH)
     alpha = parse_quad(args.alpha)
     rho = parse_quad(args.rho) if args.rho is not None else alpha
     for name, value in (("alpha", alpha), ("--rho", rho)):
@@ -341,6 +352,8 @@ def cmd_sturmian(args, out) -> int:
             raise SturmdualError(
                 f"{name} prints as {printed} characters, more than the cap of {MAX_STURMIAN_LITERAL}"
             )
+    if alpha.d and rho.d not in (0, alpha.d):
+        raise SturmdualError(f"--rho {rho} is not in Q(sqrt({alpha.d})), the field of alpha {alpha}")
     convention = "upper" if args.upper else "lower"
     out.write(geom.sturmian_word(alpha, rho, convention, args.length) + "\n")
     return 0
@@ -360,8 +373,7 @@ def cmd_cf(args, out) -> int:
 
 
 def cmd_enumerate(args, out) -> int:
-    if args.max_len > MAX_GENERATOR_LEN:
-        raise SturmdualError(f"generator length {args.max_len} exceeds the cap {MAX_GENERATOR_LEN}")
+    _check_within("--max-len", args.max_len, MAX_GENERATOR_LEN)
     count = 0
     for names, sigma in invert.generator_products(args.max_len):
         if not names:
@@ -399,7 +411,7 @@ def _corpus(max_len: int):
 
 # suite name -> the check on the generator corpus, with its cap on --max-len
 VERIFY_SUITES = {
-    "complexity": lambda a: checks.complexity(_corpus(a.max_len), a.length or 30),
+    "complexity": lambda a: checks.complexity(_corpus(a.max_len), a.length or COMPLEXITY_LENGTH),
     "power-hull": lambda a: checks.power_hull(_corpus(min(a.max_len, 4))),
     "conjugacy-matrix": lambda a: checks.conjugacy_matrix(_corpus(a.max_len)),
     "rigidity": lambda a: checks.rigidity(_corpus(min(a.max_len, 5))),
@@ -437,16 +449,17 @@ def cmd_verify(args, out) -> int:
             f"unknown suite {args.suite!r}; choose all or one of "
             f"{', '.join(sorted(VERIFY_SUITES))}"
         )
-    if not 1 <= args.max_len <= MAX_GENERATOR_LEN:
-        raise SturmdualError(
-            f"--max-len {args.max_len} is outside 1..{MAX_GENERATOR_LEN}"
-        )
-    for option, value, cap in (
-        ("--count", args.count, MAX_VERIFY_COUNT),
-        ("--length", args.length, MAX_VERIFY_LENGTH),
-    ):
-        if value is not None and not 1 <= value <= cap:
-            raise SturmdualError(f"{option} {value} is outside 1..{cap}")
+    _check_within("--max-len", args.max_len, MAX_GENERATOR_LEN)
+    _check_within("--count", args.count, MAX_VERIFY_COUNT)
+    if args.length is not None:
+        _check_within("--length", args.length, MAX_VERIFY_LENGTH)
+    if args.suite in ("all", "complexity"):
+        size, length = len(_corpus(args.max_len)), args.length or COMPLEXITY_LENGTH
+        if size * length**2 > MAX_VERIFY_WORK:
+            raise SturmdualError(
+                f"complexity at --max-len {args.max_len} and length {length} is over the cap: "
+                f"{size} substitutions times {length}**2 exceeds {MAX_VERIFY_WORK}"
+            )
     suites = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
     results = [_run_suite(suite, args, out) for suite in suites]
     return 0 if all(results) else 1

@@ -313,18 +313,14 @@ def lattice_for(sigma: Substitution) -> SpectralData:
     return spectral(sigma.matrix())
 
 
-def cut_project_points(lat: SpectralData, window, phys_range, closed: str = "lo") -> list[Quad]:
+def cut_project_points(lat: SpectralData, window, phys_range) -> list[Quad]:
     """Physical projections of lattice points whose internal projection
-    lies in the window; the physical range is closed on both sides.
+    lies in the window [lo, hi); the physical range is closed on both sides.
 
-    closed selects the window convention: "lo" for [lo, hi) (the
-    default), "open" for (lo, hi).  Lattice points are integer pairs
-    (alpha, beta), and each bound is an integer sign test of
-    alpha + beta*ell or alpha + beta*ell'; a Quad is built only for
-    each point returned.
+    Lattice points are integer pairs (alpha, beta), and each bound is an
+    integer sign test of alpha + beta*ell or alpha + beta*ell'; a Quad is
+    built only for each point returned.
     """
-    if closed not in ("lo", "open"):
-        raise ValueError("closed must be 'lo' or 'open'")
     wlo, whi = (_as_quad(window[0]), _as_quad(window[1]))
     rlo, rhi = (_as_quad(phys_range[0]), _as_quad(phys_range[1]))
     denom = lat.ell - lat.ell_conj
@@ -338,32 +334,31 @@ def cut_project_points(lat: SpectralData, window, phys_range, closed: str = "lo"
     beta_lo, beta_hi = -spread.ratio_floor(0), spread.ratio_floor(1)
     phys = LatticeLine(lat.ell, rlo, rhi)
     intern = LatticeLine(lat.ell_conj, wlo, whi)
-    lo_sign = 0 if closed == "open" else -1  # the sign of alpha + beta*ell' - lo exceeds it
     points = []
     for beta in range(beta_lo, beta_hi + 1):
         # ceil(c - beta*x) is -floor(beta*x - c) and floor(c - beta*x) is -ceil(beta*x - c)
         alo = -min(phys.floor(0, beta, 0), intern.floor(0, beta, 0))
         ahi = -max(phys.ceil(0, beta, 1), intern.ceil(0, beta, 1))
         for alpha in range(alo, ahi + 1):
-            if intern.sign(alpha, beta, 0) > lo_sign and intern.sign(alpha, beta, 1) < 0:
+            if intern.sign(alpha, beta, 0) >= 0 > intern.sign(alpha, beta, 1):
                 points.append((alpha, beta))
     return [phys.value(alpha, beta) for alpha, beta in phys.ordered(points)]
 
 
 def cut_project_verify(sigma: Substitution, phys_range) -> bool:
-    """Patch vertex set equals the model set with the window decomposition.
+    """The vertices of the fixed point's tiling in the physical range are
+    the model set of the window pair.
 
-    The patch follows the fixed point (it is anchored at the fixed
-    point's leading letter and iterated by the letter-fixing power), at
-    the smallest such level that spans the physical range, so its vertex
-    set is the origin together with the prefix valuations.
-    Interior window points are all vertices; each window endpoint is the
-    internal coordinate of at most one lattice point, which is a vertex
-    exactly when the fixed-point prefix of the matching length has the
-    matching abelianization.  Both sides are compared as the integer
-    pairs (alpha, beta) of their points alpha + beta*ell.
+    The vertices are the integer pairs (|w|_a, |w|_b), the point
+    |w|_a + |w|_b*ell, of the prefixes w of sigma^k(x), where x and the
+    power come from letter_fixing_power and k is the first level whose
+    right end reaches the range's top.  Each window endpoint is the
+    internal coordinate of at most one lattice point, so the two sets are
+    equal exactly when every vertex lies in the closed window and every
+    model-set point whose internal coordinate lies strictly above the
+    window's low end (the open-window model set) is a vertex.
 
-    The patch has no vertex below 0, so a range that reaches below 0 is
+    The tiling has no vertex below 0, so a range that reaches below 0 is
     refused with SturmdualError.
     """
     rlo, rhi = (_as_quad(phys_range[0]), _as_quad(phys_range[1]))
@@ -371,57 +366,23 @@ def cut_project_verify(sigma: Substitution, phys_range) -> bool:
         raise SturmdualError(
             f"physical range [{rlo}, {rhi}] reaches below 0, where the fixed-point patch has no vertex"
         )
-    power, seed, _ = letter_fixing_power(sigma)
-    t = tile_subst_from(sigma)
+    seed, tau = letter_fixing_power(sigma)
     lat = lattice_for(sigma)
     phys = LatticeLine(lat.ell, rlo, rhi)
-    # the level-k patch holds the letters of sigma^k(seed), so it spans
-    # [0, |sigma^k(seed)|_a + ell * |sigma^k(seed)|_b]
-    step = sigma.matrix().power(power)
-    levels, counts = 0, (1, 0) if seed == "a" else (0, 1)
-    while True:
-        levels, counts = levels + power, step.apply(counts)
-        if phys.sign(*counts, 1) >= 0:
-            break
-    patch = iterate_patch(t, seed, levels)
-    vertices = [phys.coordinates(left) for _, left in patch] + [counts]
-    if None in vertices:  # a vertex off the lattice is in no model set
+    word = seed
+    while phys.sign(word.count("a"), word.count("b"), 1) < 0:
+        word = tau.apply_positive(word)
+    points = [(0, 0)]
+    for letter in word:
+        na, nb = points[-1]
+        points.append((na + 1, nb) if letter == "a" else (na, nb + 1))
+    vertices = {v for v in points if phys.sign(*v, 0) >= 0 >= phys.sign(*v, 1)}
+    window = rauzy_decomposition(sigma).window()
+    intern = LatticeLine(lat.ell_conj, *window)
+    if any(intern.sign(*v, 0) < 0 or intern.sign(*v, 1) > 0 for v in vertices):
         return False
-
-    def in_range(point):
-        return phys.sign(*point, 0) >= 0 >= phys.sign(*point, 1)
-
-    rd = rauzy_decomposition(sigma)
-    model = [phys.coordinates(p) for p in cut_project_points(lat, rd.window(), (rlo, rhi), closed="open")]
-    word = "".join(letter for letter, _ in patch)
-    for z in rd.window():
-        point = _boundary_vertex(lat, z, word)
-        if point is not None:
-            point = phys.coordinates(point)
-            if in_range(point) and point not in model:
-                model.append(point)
-    return sorted(filter(in_range, vertices)) == sorted(model)
-
-
-def _boundary_vertex(lat: SpectralData, z: Quad, prefix_word: str) -> Quad | None:
-    """Physical coordinate of the unique lattice point with internal
-    coordinate z, when that point is a vertex of the fixed-point tiling.
-
-    The integers with z = alpha + beta*ell' are read off by
-    LatticeLine.coordinates."""
-    if z.d not in (0, lat.ell_conj.d):
-        return None
-    point = LatticeLine(lat.ell_conj).coordinates(z)
-    if point is None:
-        return None
-    alpha, beta = point
-    m = alpha + beta
-    if m < 0 or m > len(prefix_word):
-        return None
-    piece = prefix_word[:m]
-    if (piece.count("a"), piece.count("b")) != (alpha, beta):
-        return None
-    return LatticeLine(lat.ell).value(alpha, beta)
+    model = (phys.coordinates(p) for p in cut_project_points(lat, window, (rlo, rhi)))
+    return all(p in vertices for p in model if intern.sign(*p, 0) > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -209,15 +209,15 @@ def parse_substitution(text: str) -> Substitution:
 # ---------------------------------------------------------------------------
 
 
-def letter_fixing_power(sigma: Substitution) -> tuple[int, str, Substitution]:
-    """(p, x, sigma^p) for the least p <= 4 (p <= 2 if sigma is primitive)
+def letter_fixing_power(sigma: Substitution) -> tuple[str, Substitution]:
+    """(x, sigma^p) for the least p <= 4 (p <= 2 if sigma is primitive)
     whose image of a letter x, a before b, starts with x and is longer."""
     tau = sigma
-    for p in range(1, 5):
+    for _ in range(4):
         for letter in "ab":
             image = tau.image(letter)
             if image.startswith(letter) and len(image) > 1:
-                return p, letter, tau
+                return letter, tau
         tau = tau.compose(sigma)
     raise SturmdualError("no expanding letter-fixed power <= 4; not primitive")
 
@@ -227,7 +227,7 @@ def fixed_point_prefix(sigma: Substitution, n: int) -> str:
     letter-fixing power p (see letter_fixing_power)."""
     if n < 0:
         raise ValueError("prefix length must be >= 0")
-    _, word, tau = letter_fixing_power(sigma)
+    word, tau = letter_fixing_power(sigma)
     while len(word) < n:
         word = tau.apply_positive(word)
     prefix = word[:n]

@@ -219,6 +219,13 @@ def test_cutproject_refuses_a_reversed_range():
     assert err == "error: --range 5 1 is reversed: its low end exceeds its high end\n"
 
 
+def test_sturmian_names_the_field_rho_is_outside():
+    code, out, err = run_cli("sturmian", "sqrt(2)-1", "--rho", "sqrt(3)")
+    assert (code, out) == (1, "")
+    assert err == "error: --rho sqrt(3) is not in Q(sqrt(2)), the field of alpha -1+sqrt(2)\n"
+    assert run_cli("sturmian", "sqrt(2)-1", "--rho", "1/3", "-n", "3") == (0, "aba\n", "")
+
+
 def test_cutproject_names_the_field_a_range_end_is_outside():
     code, out, err = run_cli("cutproject", "a->aba,b->ab", "--range", "0", "sqrt(3)")
     assert (code, out) == (1, "")
@@ -245,7 +252,16 @@ def test_enumerate_deterministic_and_counts():
     assert len(listed) == 4
     assert "# 4 substitutions" in out
     code, _, err = run_cli("enumerate", "--max-len", "11")
-    assert code == 1 and "cap" in err
+    assert (code, err) == (1, "error: --max-len 11 is outside 1..10\n")
+
+
+@pytest.mark.parametrize("command", [("enumerate",), ("verify", "complexity")])
+def test_max_len_outside_its_range_is_refused(command):
+    # enumerate and verify share one range check and one message
+    for value in ("-3", "0", "11"):
+        assert run_cli(*command, "--max-len", value) == (
+            1, "", f"error: --max-len {value} is outside 1..{cli.MAX_GENERATOR_LEN}\n"
+        )
 
 
 @pytest.mark.parametrize(
@@ -260,6 +276,9 @@ def test_enumerate_deterministic_and_counts():
         ("render", "a->aba,b->ab", "--target", "rauzy", "--iterations", "-1"),
         ("cutproject", "a->aba,b->ab", "--range", "0", "1000000000"),
         ("enumerate", "--max-len", "11"),
+        # within each cap, but the corpus size times the squared length is not
+        ("verify", "complexity", "--max-len", "10", "--length", "100"),
+        ("verify", "all", "--max-len", "8", "--length", "69"),
         ("sturmian", "sqrt(2)-1", "-n", "0"),
         ("sturmian", "sqrt(2)-1", "-n", "-3"),
         ("sturmian", "sqrt(2)-1", "-n", str(cli.MAX_STURMIAN_LENGTH + 1)),
@@ -420,6 +439,23 @@ def test_verify_suites_smoke():
         if checked == "0":
             assert (status, detail) == ("FAIL", f"{suite} checked nothing at --max-len 1")
     assert sum(m.group(2) == "FAIL" for m in lines) == 12, out
+
+
+def test_verify_work_cap_admits_each_max_len_at_the_default_length(monkeypatch):
+    # the cap is the corpus size times the squared length of complexity
+    def complexity(corpus, length):
+        return CheckResult(True, len(corpus), f"length {length}")
+
+    monkeypatch.setattr(cli.checks, "complexity", complexity)
+    for argv in (("--max-len", "10"), ("--max-len", "8", "--length", "68"), ("--max-len", "7", "--length", "100")):
+        code, out, _ = run_cli("verify", "complexity", *argv)
+        assert code == 0 and VERIFY_LINE.match(out.rstrip("\n")), argv
+    code, out, err = run_cli("verify", "complexity", "--max-len", "8", "--length", "69")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: complexity at --max-len 8 and length 69 is over the cap: "
+        f"1511 substitutions times 69**2 exceeds {cli.MAX_VERIFY_WORK}\n"
+    )
 
 
 def test_verify_details_name_their_bounds():

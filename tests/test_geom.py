@@ -16,7 +16,7 @@ from sturmdual.errors import (
 )
 from sturmdual.geom import (
     DigitMatrix,
-    _boundary_vertex,
+    RauzyDecomposition,
     characteristic_word,
     cut_project_points,
     cut_project_verify,
@@ -29,7 +29,7 @@ from sturmdual.geom import (
     tile_subst_from_digits,
 )
 from sturmdual.invert import generator_products
-from sturmdual.quadfield import Quad, spectral
+from sturmdual.quadfield import LatticeLine, Quad, spectral
 from sturmdual.subst import Substitution, factor_set, fixed_point_prefix, parse_substitution
 
 TAU = Quad(F(1, 2), F(1, 2), 5)
@@ -102,14 +102,20 @@ def test_iterate_patch():
     t = tile_subst_from(RHO)
     assert iterate_patch(t, "a", 1) == [("a", Quad(0)), ("b", Quad(1)), ("a", TAU)]
     assert iterate_patch(t, "b", 0) == [("b", Quad(0))]
-    # patch word matches the substitution power, tiles abut exactly
-    for n in (2, 3):
-        patch = iterate_patch(t, "a", n)
-        assert "".join(l for l, _ in patch) == RHO.power(n).apply("a")
-        pos = Quad(0)
-        for letter, left in patch:
-            assert left == pos
-            pos = pos + t.lengths[0 if letter == "a" else 1]
+    # the patch word is the substitution power, and the tiles abut, so
+    # the left ends are |w|_a + |w|_b*ell over the prefixes w of sigma^n(x):
+    # the vertices that cut_project_verify compares as integer pairs
+    members = [s for n, s in generator_products(5) if n and s.is_primitive() and s.det() == 1]
+    assert len(members) == 39
+    for sigma in members:
+        t = tile_subst_from(sigma)
+        line = LatticeLine(t.lengths[1])
+        for x in "ab":
+            for n in (1, 2, 3):
+                word = sigma.power(n).apply(x)
+                want = [(letter, line.value(m - word.count("b", 0, m), word.count("b", 0, m)))
+                        for m, letter in enumerate(word)]
+                assert iterate_patch(t, x, n) == want, (str(sigma), x, n)
 
 
 def test_rauzy_decomposition_rho():
@@ -287,6 +293,56 @@ def test_cut_project_verify_refuses_a_range_below_zero():
     assert cut_project_verify(sigma, (5, 30))
 
 
+def test_cut_project_verify_takes_a_window_endpoint_vertex():
+    # the window of a -> ab, b -> bab is [ell', 1], and its endpoint 1 is the
+    # internal coordinate of the lattice point (1, 0): the vertex 1 after
+    # the prefix a of the fixed point abbab...
+    sigma = Substitution("ab", "bab")
+    lat = lattice_for(sigma)
+    assert rauzy_decomposition(sigma).window() == (lat.ell_conj, Quad(1))
+    assert fixed_point_prefix(sigma, 5) == "abbab"
+    # [lo, hi) leaves the vertex 1 out of the model set over [0, 1]
+    assert cut_project_points(lat, (lat.ell_conj, Quad(1)), (Quad(0), Quad(1))) == [Quad(0)]
+    assert cut_project_verify(sigma, (0, 30))
+    assert cut_project_verify(sigma, (0, 1))
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [
+        pytest.param(lambda lo, hi: (lo + F(1, 3), hi + F(1, 3)), id="both shifted by 1/3"),
+        pytest.param(lambda lo, hi: (lo - 1, hi - 1), id="both shifted by -1"),
+        # every vertex stays inside, but the model set gains points
+        pytest.param(lambda lo, hi: (lo - F(1, 3), hi + F(1, 3)), id="both widened by 1/3"),
+    ],
+)
+def test_cut_project_verify_refuses_a_planted_window(monkeypatch, plant):
+    members = [s for n, s in generator_products(5) if n and s.is_primitive() and s.det() == 1]
+    assert len(members) == 39
+
+    def planted(sigma):
+        rd = rauzy_decomposition(sigma)
+        return RauzyDecomposition(r_a=plant(*rd.r_a), r_b=plant(*rd.r_b))
+
+    monkeypatch.setattr("sturmdual.geom.rauzy_decomposition", planted)
+    for sigma in members:
+        assert not cut_project_verify(sigma, (0, 30)), str(sigma)
+
+
+def test_cut_project_verify_refuses_a_lowered_window_top(monkeypatch):
+    # R_b = [0, 1], and its top 1 is the internal coordinate of the vertex
+    # 1; lowered by 1/1000, the window leaves that vertex out
+    sigma = Substitution("ab", "bab")
+
+    def lowered(s):
+        rd = rauzy_decomposition(s)
+        return RauzyDecomposition(r_a=rd.r_a, r_b=(rd.r_b[0], rd.r_b[1] - F(1, 1000)))
+
+    assert cut_project_verify(sigma, (0, 30))
+    monkeypatch.setattr("sturmdual.geom.rauzy_decomposition", lowered)
+    assert not cut_project_verify(sigma, (0, 30))
+
+
 def test_cut_project_widened_window_has_extra_points():
     rd = rauzy_decomposition(RHO)
     lat = lattice_for(RHO)
@@ -294,14 +350,6 @@ def test_cut_project_widened_window_has_extra_points():
     widened = cut_project_points(lat, (lo - 1, hi + 1), (Quad(0), Quad(30)))
     exact = cut_project_points(lat, (lo, hi), (Quad(0), Quad(30)))
     assert len(widened) > len(exact)
-
-
-# window conventions of cut_project_points, as tests on the signs of
-# (internal coordinate - lo) and (internal coordinate - hi)
-_CLOSED_TESTS = {
-    "lo": lambda lo_sign, hi_sign: lo_sign >= 0 and hi_sign < 0,
-    "open": lambda lo_sign, hi_sign: lo_sign > 0 and hi_sign < 0,
-}
 
 
 def _sign_against(alpha, beta, coord, bound):
@@ -343,13 +391,13 @@ def test_cut_project_points_match_a_box_scan():
         lo, hi = rauzy_decomposition(sigma).window()
         for window in ((lo, hi), (lo - 1, hi + 1), (lo, lo)):
             for phys_range in ranges:
+                # the window [lo, hi): the sign against lo is >= 0, against hi < 0
                 box = _box_scan(lat, window, phys_range)
-                for closed, test in _CLOSED_TESTS.items():
-                    want = sorted(p for p, lo_sign, hi_sign in box if test(lo_sign, hi_sign))
-                    got = cut_project_points(lat, window, phys_range, closed=closed)
-                    assert got == want, (str(sigma), window, phys_range, closed)
-                    calls += 1
-    assert calls == 39 * 3 * 2 * 2
+                want = sorted(p for p, lo_sign, hi_sign in box if lo_sign >= 0 > hi_sign)
+                got = cut_project_points(lat, window, phys_range)
+                assert got == want, (str(sigma), window, phys_range)
+                calls += 1
+    assert calls == 39 * 3 * 2
 
 
 @pytest.mark.parametrize(
@@ -444,26 +492,6 @@ def test_sturmian_word_matches_the_fractional_part_definition(p, q, d, r0, r1, n
     for convention in ("lower", "upper"):
         want = _sympy_rotation_word(sympy_value(alpha), sympy_value(rho), convention, n)
         assert sturmian_word(alpha, rho, convention, n) == want, convention
-
-
-def test_boundary_vertex_solves_for_the_lattice_point():
-    sigma = Substitution("ab", "bab")
-    lat = lattice_for(sigma)
-    word = fixed_point_prefix(sigma, 12)  # abbabbababba
-    assert word.startswith("abb")
-    # the window [ell', 1]: its endpoint 1 is the internal coordinate of
-    # the lattice point (1, 0), the vertex after the prefix a
-    assert rauzy_decomposition(sigma).window() == (lat.ell_conj, Quad(1))
-    assert _boundary_vertex(lat, Quad(1), word) == Quad(1)
-    # ell' is the point (0, 1), but no prefix has no a and one b
-    assert _boundary_vertex(lat, lat.ell_conj, word) is None
-    # 1 + 2 ell' is (1, 2), the prefix abb, at 1 + 2 ell = 2 + sqrt(5)
-    assert _boundary_vertex(lat, 1 + 2 * lat.ell_conj, word) == Quad(2, 1, 5)
-    assert _boundary_vertex(lat, 2 + lat.ell_conj, word) is None  # not a prefix count
-    # outside the lattice's field, and off the lattice
-    assert _boundary_vertex(lat, Quad(0, 1, 2), word) is None
-    assert _boundary_vertex(lat, lat.ell_conj / 2, word) is None  # beta = 1/2
-    assert _boundary_vertex(lat, F(1, 2) + lat.ell_conj, word) is None  # alpha = 1/2
 
 
 def test_characteristic_factors_match_language():
