@@ -57,9 +57,8 @@ MAX_STURMIAN_LITERAL = 100
 # faster than linearly in it; on random invertible words at the cap the
 # slowest, stardual, took under 4 s on a 2-vCPU host (5.7 s at 5000)
 MAX_SUBSTITUTION_LETTERS = 3000
-# caps on verify --count (dual-contravariance draws about 7000 pairs a
-# second) and --length (the factor sets compared grow with the length;
-# reciprocal-dual on its corpus took 11 s at length 200 on a 2-vCPU host)
+# caps on verify --count (dual-contravariance at --max-len 10 draws about
+# 1000 pairs a second) and --length, the factor length of complexity alone
 MAX_VERIFY_COUNT = 10000
 MAX_VERIFY_LENGTH = 100
 # cap on the corpus size times the squared length of the complexity suite,
@@ -67,8 +66,6 @@ MAX_VERIFY_LENGTH = 100
 # --max-len admits (31 at 10, 46 at 9, 68 at 8, 100 at 7) it took 12-19 s
 # on a 2-vCPU host, and every other suite together under 10 s
 MAX_VERIFY_WORK = 7 * 10**6
-# the factor length of the complexity suite when --length is not given
-COMPLEXITY_LENGTH = 30
 
 def _exact(a: int, b: int, n: int, d: int) -> dict:
     """The report entry of (a + b*sqrt(d)) / n, n > 0, printed from the integers."""
@@ -409,34 +406,38 @@ def _corpus(max_len: int):
     return [s for names, s in invert.generator_products(max_len) if names]
 
 
-# suite name -> the check on the generator corpus, with its cap on --max-len
+# caps on --max-len for the suites too slow without one: uncapped on a
+# 2-vCPU host, power-hull took 18.8 s at --max-len 8, window-stability
+# 21.8 s and strand-connectivity 44.7 s at 10, cut-project 60 ms a member
+VERIFY_CAPS = {"power-hull": 4, "window-stability": 5, "strand-connectivity": 5, "cut-project": 5}
+# suite name -> the check on the generator corpus up to a.max_len
 VERIFY_SUITES = {
-    "complexity": lambda a: checks.complexity(_corpus(a.max_len), a.length or COMPLEXITY_LENGTH),
-    "power-hull": lambda a: checks.power_hull(_corpus(min(a.max_len, 4))),
+    "complexity": lambda a: checks.complexity(_corpus(a.max_len), a.length),
+    "power-hull": lambda a: checks.power_hull(_corpus(a.max_len)),
     "conjugacy-matrix": lambda a: checks.conjugacy_matrix(_corpus(a.max_len)),
-    "rigidity": lambda a: checks.rigidity(_corpus(min(a.max_len, 5))),
-    "dual-contravariance": lambda a: checks.dual_contravariance(_corpus(5), count=a.count),
-    "window-stability": lambda a: checks.window_stability(_corpus(min(a.max_len, 5))),
-    "strand-connectivity": lambda a: checks.strand_connectivity(_corpus(min(a.max_len, 5))),
+    "rigidity": lambda a: checks.rigidity(_corpus(a.max_len)),
+    "dual-contravariance": lambda a: checks.dual_contravariance(_corpus(a.max_len), a.count),
+    "window-stability": lambda a: checks.window_stability(_corpus(a.max_len)),
+    "strand-connectivity": lambda a: checks.strand_connectivity(_corpus(a.max_len)),
     "dual-frequency": lambda a: checks.dual_frequency(_corpus(a.max_len)),
-    "reciprocal-dual": lambda a: checks.reciprocal_dual(
-        _corpus(min(a.max_len, 6)), a.length or 20
-    ),
+    "reciprocal-dual": lambda a: checks.reciprocal_dual(_corpus(a.max_len)),
     "selfdual-forms": lambda a: checks.selfdual_forms(_corpus(a.max_len)),
     "palindrome": lambda a: checks.palindrome(_corpus(a.max_len)),
     "cf-dual": lambda a: checks.cf_dual(_corpus(a.max_len), 30 if a.max_len >= 8 else 0),
-    "cut-project": lambda a: checks.cut_project(_corpus(min(a.max_len, 5))),
+    "cut-project": lambda a: checks.cut_project(_corpus(a.max_len)),
 }
 
 
 def _run_suite(suite: str, args, out) -> bool:
+    max_len = min(args.max_len, VERIFY_CAPS.get(suite, args.max_len))
     start = perf_counter()
-    result = VERIFY_SUITES[suite](args)
+    result = VERIFY_SUITES[suite](argparse.Namespace(**{**vars(args), "max_len": max_len}))
     elapsed = perf_counter() - start
     if result.checked == 0:
         result = checks.CheckResult(False, 0, f"{suite} checked nothing at --max-len {args.max_len}")
+    capped = f" (corpus capped at generator length {max_len})" if max_len < args.max_len else ""
     out.write(
-        f"{suite}: {'PASS' if result.ok else 'FAIL'} - {result.detail} "
+        f"{suite}: {'PASS' if result.ok else 'FAIL'} - {result.detail}{capped} "
         f"[{result.checked} checked in {elapsed:.1f} s]\n"
     )
     out.flush()
@@ -451,10 +452,9 @@ def cmd_verify(args, out) -> int:
         )
     _check_within("--max-len", args.max_len, MAX_GENERATOR_LEN)
     _check_within("--count", args.count, MAX_VERIFY_COUNT)
-    if args.length is not None:
-        _check_within("--length", args.length, MAX_VERIFY_LENGTH)
+    _check_within("--length", args.length, MAX_VERIFY_LENGTH)
     if args.suite in ("all", "complexity"):
-        size, length = len(_corpus(args.max_len)), args.length or COMPLEXITY_LENGTH
+        size, length = len(_corpus(args.max_len)), args.length
         if size * length**2 > MAX_VERIFY_WORK:
             raise SturmdualError(
                 f"complexity at --max-len {args.max_len} and length {length} is over the cap: "
@@ -685,9 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-len", type=int, default=8, help=f"1..{MAX_GENERATOR_LEN}"
     )
     p.add_argument("--count", type=int, default=100)
-    p.add_argument(
-        "--length", type=int, default=None, help="factor length (suite default)"
-    )
+    p.add_argument("--length", type=int, default=30, help="complexity's factor length (default %(default)s)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="SVG output")

@@ -88,7 +88,7 @@ def tile_subst_from(sigma: Substitution) -> TileSubst:
     cell (i, j) is the valuation of the prefix before each occurrence
     of i in the image of j.
     """
-    spec = spectral(sigma.matrix())
+    spec = lattice_for(sigma)
     line = LatticeLine(spec.ell)
     rows: list[list[list[Quad]]] = [[[], []], [[], []]]
     for j in "ab":
@@ -269,15 +269,10 @@ def rauzy_decomposition(sigma: Substitution) -> RauzyDecomposition:
     the windows: each conjugate prefix valuation lies in the window of
     the letter that follows it.
     """
-    if not sigma.is_primitive():
-        raise SturmdualError(f"{sigma} is not primitive")
-    det = sigma.det()
-    if det == -1:
+    if sigma.det() == -1 and sigma.is_primitive():
         raise DeterminantMinusOneError(
             f"{sigma} has determinant -1; decompose the window of the square"
         )
-    if det != 1:
-        raise SturmdualError(f"{sigma} is not unimodular")
     try:
         t = star_dual(tile_subst_from(sigma))
     except CoveringError as exc:
@@ -309,8 +304,16 @@ def rauzy_decomposition(sigma: Substitution) -> RauzyDecomposition:
 
 def lattice_for(sigma: Substitution) -> SpectralData:
     """Spectral data of sigma, whose ell and ell' span the planar lattice
-    of (1, 1) and (ell, ell'): physical space first, internal second."""
-    return spectral(sigma.matrix())
+    of (1, 1) and (ell, ell'): physical space first, internal second.
+    A sigma that is not primitive, or not unimodular, is refused by name."""
+    try:
+        return spectral(sigma.matrix())
+    except SturmdualError:
+        if not sigma.is_primitive():
+            raise SturmdualError(f"{sigma} is not primitive") from None
+        if sigma.det() not in (1, -1):
+            raise SturmdualError(f"{sigma} is not unimodular") from None
+        raise
 
 
 def cut_project_points(lat: SpectralData, window, phys_range) -> list[Quad]:

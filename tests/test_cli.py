@@ -463,8 +463,9 @@ def test_verify_details_name_their_bounds():
         (("complexity", "--max-len", "3"), "up to length 30"),
         (("complexity", "--max-len", "3", "--length", "12"), "up to length 12"),
         (("power-hull", "--max-len", "3"), "powers 2 and 3 keep the factor sets up to length 12"),
-        (("reciprocal-dual", "--max-len", "4"), "up to length 20"),
-        (("reciprocal-dual", "--max-len", "4", "--length", "9"), "up to length 9"),
+        (("reciprocal-dual", "--max-len", "4"), "the dual equals E o reciprocal o E"),
+        # a capped suite names the generator length it used
+        (("power-hull", "--max-len", "5"), "up to length 12 (corpus capped at generator length 4)"),
     ):
         code, out, _ = run_cli("verify", *argv)
         assert code == 0 and bound in VERIFY_LINE.match(out.rstrip("\n")).group(3), argv
@@ -510,6 +511,45 @@ def test_verify_certifies_under_optimize():
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stdout.startswith("selfdual-forms: FAIL - selfdual class and matrix shape")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_verify_refuses_the_reciprocal_as_the_dual(flags):
+    # the reciprocal has the dual's factor sets, so only equality with
+    # E o reciprocal o E tells a planted reciprocal from the dual
+    script = (
+        "import sys\n"
+        "from sturmdual import cli, dualmap, invert\n"
+        "dualmap.dual_substitution = invert.reciprocal\n"
+        "sys.exit(cli.main(['verify', 'reciprocal-dual', '--max-len', '4']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        env=_package_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.startswith(
+        "reciprocal-dual: FAIL - dual of a->ba,b->bab is not E o reciprocal o E [1 checked in "
+    )
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("stardual", "a->ab,b->ab"), "unimodular"),
+        (("cutproject", "a->aab,b->aba"), "unimodular"),
+        (("tiling", "a->ab,b->ab"), "unimodular"),
+        (("render", "a->ab,b->ab", "--target", "tiling"), "unimodular"),
+        (("stardual", "a->a,b->ab"), "primitive"),
+        (("cutproject", "a->a,b->ab"), "primitive"),
+    ],
+)
+def test_geometry_refusals_name_their_input(argv, reason):
+    # the same refusal as rauzy's, naming the substitution
+    expected = (1, "", f"error: {argv[1]} is not {reason}\n")
+    assert run_cli("rauzy", argv[1]) == expected
+    assert run_cli(*argv) == expected
 
 
 def test_render_byte_stable_and_counts():

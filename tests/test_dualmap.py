@@ -16,7 +16,7 @@ from sturmdual.dualmap import (
     sort_along,
 )
 from sturmdual.errors import NotInvertibleError, SturmdualError
-from sturmdual.invert import GEN_E, GEN_L, GEN_LT, generator_products, is_invertible
+from sturmdual.invert import GEN_E, GEN_L, GEN_LT, generator_products, is_invertible, reciprocal
 from sturmdual.quadfield import spectral
 from sturmdual.subst import Substitution
 
@@ -129,6 +129,16 @@ def test_dual_substitution_matrix_transpose(corpus8_det1):
         dual = dual_substitution(sub)
         assert dual.matrix() == sub.matrix().transpose()
         assert is_invertible(dual)
+
+
+def test_dual_is_the_letter_swapped_reciprocal():
+    # the paper's equivalence of duals, exactly: dual(sigma) = E o reciprocal(sigma) o E
+    # for every det +1 invertible sigma, primitive or not
+    members = [s for names, s in generator_products(6) if names and s.det() == 1]
+    assert len(members) == 161
+    assert sum(not s.is_primitive() for s in members) == 41
+    for sigma in members:
+        assert dual_substitution(sigma) == GEN_E.compose(reciprocal(sigma)).compose(GEN_E), sigma
 
 
 def test_dual_of_composition_reverses():
