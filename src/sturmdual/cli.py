@@ -101,16 +101,14 @@ class AnalysisReport:
 def build_report(sigma: Substitution) -> AnalysisReport:
     """The exact analysis of sigma in one pass over integers.
 
-    The matrix, determinant, primitivity and decomposition are computed
-    once; the selfdual class reuses them.  The Perron data lam, alpha,
-    alpha' and alpha* are integer triples over one squarefree d, and
-    their entries, like the expansion of alpha, are printed from those
-    integers without building a Quad.
+    The Perron data lam, alpha, alpha' and alpha* are integer triples
+    over one squarefree d, and their entries, like the expansion of
+    alpha, are printed from those integers without building a Quad.
     """
     m = sigma.matrix()
     det = m.det()
     primitive = m.is_primitive()
-    decomposition = invert._decompose_unimodular(sigma) if det in (1, -1) else None
+    decomposition = invert.decompose(sigma)
     report = AnalysisReport(
         substitution=str(sigma),
         matrix=[[m.m11, m.m12], [m.m21, m.m22]],
@@ -130,12 +128,12 @@ def build_report(sigma: Substitution) -> AnalysisReport:
         report.cf_alpha = format_cf(CF(*surd_quotients(a, b, n, d)))
         if det == 1 and report.invertible:
             report.alpha_star = _exact(*dual_frequency_parts(a, b, n, d), d)
-            sd = invert._selfdual_class(sigma, m, decomposition)
+            sd = invert.selfdual_class(sigma)
             report.selfdual_class = sd.kind
             report.witness = (
                 words.format_word(sd.witness) if sd.witness is not None else None
             )
-        elif m.det() == -1:
+        elif det == -1:
             report.note = "determinant -1: analyze the square (--square)"
     return report
 

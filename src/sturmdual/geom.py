@@ -273,8 +273,9 @@ def rauzy_decomposition(sigma: Substitution) -> RauzyDecomposition:
         raise DeterminantMinusOneError(
             f"{sigma} has determinant -1; decompose the window of the square"
         )
+    tile = tile_subst_from(sigma)
     try:
-        t = star_dual(tile_subst_from(sigma))
+        t = star_dual(tile)
     except CoveringError as exc:
         raise NonIntervalWindowError(
             f"window of {sigma} is not a pair of intervals (not invertible)"
@@ -282,7 +283,7 @@ def rauzy_decomposition(sigma: Substitution) -> RauzyDecomposition:
     lo = {x: t.inflation * t.offsets[_IDX[x]] for x in "ab"}
     hi = {x: t.inflation * (t.offsets[_IDX[x]] + t.lengths[_IDX[x]]) for x in "ab"}
 
-    ell_conj = spectral(sigma.matrix()).ell_conj
+    ell_conj = tile.lengths[1].star()
     prefix = fixed_point_prefix(sigma, _PREFIX_SAMPLE)
     value = QUAD_ZERO
     for m in range(1, len(prefix)):

@@ -65,11 +65,6 @@ def decompose(sigma: Substitution) -> tuple[str, ...] | None:
     """
     if not sigma.is_unimodular():
         return None
-    return _decompose_unimodular(sigma)
-
-
-def _decompose_unimodular(sigma: Substitution) -> tuple[str, ...] | None:
-    """decompose for a sigma already known to have determinant +-1."""
     a, b = sigma.img_a, sigma.img_b
     factors: list[str] = []
     last_was_swap = False
@@ -105,17 +100,13 @@ def is_invertible(sigma: Substitution) -> bool:
 
 
 def inverse(sigma: Substitution) -> FreeEndo:
-    """Free-group inverse, composed from inverse generators in reverse."""
-    return _inverse(sigma, decompose(sigma))
-
-
-def _inverse(sigma: Substitution, factors: tuple[str, ...] | None) -> FreeEndo:
-    """inverse from the decomposition of sigma (None when not invertible).
+    """Free-group inverse, composed from inverse generators in reverse.
 
     The inverse generators are composed on the two reduced images as
     strings, one FreeEndo is built at the end, and sigma(inverse(x)) = x
     certifies it.
     """
+    factors = decompose(sigma)
     if factors is None:
         raise NotInvertibleError(f"{sigma} is not invertible")
     a, b = "a", "b"
@@ -132,25 +123,15 @@ def reciprocal(sigma: Substitution) -> Substitution:
     """The positive substitution hiding inside the inverse.
 
     Conjugating the inverse by the letter flip a -> a^{-1} turns it
-    back into a positive morphism when the determinant is +1.
+    back into a positive morphism when the determinant is +1.  Its
+    matrix is certified to be E M^T E.
     """
     m = sigma.matrix()
-    return _reciprocal(sigma, m, _decomposition_of_det_one(sigma, m))
-
-
-def _decomposition_of_det_one(sigma: Substitution, m: Mat2) -> tuple[str, ...] | None:
-    """decompose(sigma) for matrix m of determinant +1, else None, which
-    _reciprocal turns into its determinant or invertibility error."""
-    return _decompose_unimodular(sigma) if m.det() == 1 else None
-
-
-def _reciprocal(sigma: Substitution, m: Mat2, factors: tuple[str, ...] | None) -> Substitution:
-    """reciprocal from the matrix m and the decomposition of sigma."""
     if m.det() == -1:
         raise DeterminantMinusOneError(
             f"{sigma} has determinant -1; take the square first"
         )
-    inv = _inverse(sigma, factors)
+    inv = inverse(sigma)
     bar_a = words.flip_a(words.invert_word(inv.img_a))
     bar_b = words.flip_a(inv.img_b)
     if not (words.is_positive(bar_a) and words.is_positive(bar_b)):
@@ -239,22 +220,15 @@ def selfdual_class(sigma: Substitution) -> SelfdualClass:
     "direct" when conjugate to the reciprocal itself, "mirror" when
     conjugate to the letter-swapped reciprocal.  Its agreement with the
     matrix-shape test is the selfdual-forms check of ``sturmdual.checks``.
+
+    The reciprocal has matrix E M^T E, so sigma and the reciprocal share
+    their matrix exactly when m11 == m22, and sigma and the swapped
+    reciprocal E . bar . E (matrix M^T) exactly when m12 == m21.
     """
     m = sigma.matrix()
     if not m.is_primitive():
         raise SturmdualError(f"{sigma} is not primitive")
-    return _selfdual_class(sigma, m, _decomposition_of_det_one(sigma, m))
-
-
-def _selfdual_class(sigma: Substitution, m: Mat2, factors: tuple[str, ...] | None) -> SelfdualClass:
-    """selfdual_class of a primitive sigma from its matrix m and decomposition.
-
-    _reciprocal certifies that the reciprocal has matrix E M^T E, so
-    sigma and the reciprocal share their matrix exactly when m11 == m22,
-    and sigma and the swapped reciprocal E . bar . E (matrix M^T) exactly
-    when m12 == m21.
-    """
-    bar = _reciprocal(sigma, m, factors)
+    bar = reciprocal(sigma)
     if m.m11 == m.m22:
         result = SelfdualClass("direct", find_conjugator(sigma, bar))
     elif m.m12 == m.m21:

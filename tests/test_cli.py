@@ -374,6 +374,29 @@ def test_size_caps_count_every_level(monkeypatch):
     assert run_cli("cutproject", "a->aba,b->ab", "--range", "-1", "4+1/9")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the largest level counts of a -> ab, b -> a under MAX_PATCH_TILES
+        # and MAX_STRAND_SEGMENTS
+        ("tiling", "--depth", "20"),
+        ("render", "--target", "tiling", "--iterations", "20"),
+        ("render", "--target", "dual_strand", "--iterations", "23"),
+    ],
+)
+def test_runs_at_the_level_caps_end_in_bounded_time(argv):
+    command, *options, levels = argv
+    start = time.perf_counter()
+    code, out, err = run_cli(command, "a->ab,b->a", *options, levels)
+    elapsed = time.perf_counter() - start
+    print(f"{' '.join(argv)}: {elapsed:.2f} s")
+    assert (code, err) == (0, "") and out
+    assert elapsed < 30
+    # one level more is over the cap
+    code, _, err = run_cli(command, "a->ab,b->a", *options, str(int(levels) + 1))
+    assert code == 1 and "more than the cap of" in err
+
+
 def test_enumerate_cap_option_is_gone():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["enumerate", "--max-len", "13", "--cap", "13"])
