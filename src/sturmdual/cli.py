@@ -44,13 +44,13 @@ MAX_STRAND_SEGMENTS = 200000
 # cap on the width of a cutproject range: the lattice points tested grow
 # linearly with it, one short run of alpha per beta
 MAX_CUTPROJECT_WIDTH = 200
-# cap on sturmian --length: a letter is one Quad add and one floor or
-# ceil, so 10**5 letters of short literals take about a second
+# cap on sturmian --length: a letter is one integer floor or ceiling, so
+# 10**5 letters of short literals take about 0.1 s
 MAX_STURMIAN_LENGTH = 10**5
-# cap on the printed length of sturmian's slope and initial point: each
-# letter is Fraction arithmetic on their parts, so the time per letter
-# grows with them; at both caps the slowest literal pair measured took
-# 2.2 s on a 2-vCPU host (1.1 s for sqrt(2)-1), a 3000-digit --rho 31 s
+# cap on the printed length of sturmian's slope and initial point: the
+# integers of each floor grow with their parts, and so does the time per
+# letter; at both caps a pair over four long denominators took 0.2 s on a
+# 2-vCPU host (0.07 s for sqrt(2)-1), a 3000-digit --rho 23 s
 MAX_STURMIAN_LITERAL = 100
 # cap on the letters of a substitution's two images together, and of its
 # square under --square: inverse, selfdual, rauzy and stardual grow
@@ -274,15 +274,12 @@ def cmd_rauzy(args, out) -> int:
 
 def cmd_tiling(args, out) -> int:
     sigma = _load_subst(args.spec, args.square)
-    t = geom.tile_subst_from(sigma)
+    lengths = {"a": 1, "b": geom.lattice_for(sigma).ell}
     _check_levels(sigma.matrix(), "--depth", args.depth, MAX_PATCH_TILES, "tiles")
-    patch = geom.iterate_patch(t, "a", args.depth)
-    items = []
-    for letter, left in patch:
-        right = left + t.lengths[0 if letter == "a" else 1]
-        items.append(
-            {"type": letter, "left": format_quad(left), "right": format_quad(right)}
-        )
+    items = [
+        {"type": letter, "left": format_quad(left), "right": format_quad(left + lengths[letter])}
+        for letter, left in geom.iterate_patch(sigma, "a", args.depth)
+    ]
     if args.json:
         out.write(json.dumps(items, indent=2) + "\n")
     else:
@@ -521,21 +518,19 @@ def render_svg(sigma: Substitution, target: str, iterations: int, scale: float) 
         pts = [chain[0].traversal_start()] + [seg.traversal_end() for seg in chain]
         return _polyline_svg(pts, scale)
     if target == "tiling":
-        t = geom.tile_subst_from(sigma)
+        lat = geom.lattice_for(sigma)
         _check_levels(sigma.matrix(), "--iterations", iterations, MAX_PATCH_TILES, "tiles")
-        rows = []
-        for level in range(iterations + 1):
-            rows.append(geom.iterate_patch(t, "a", level))
-        width = (float(t.inflation) ** iterations + 2) * scale
+        rows = [geom.iterate_patch(sigma, "a", level) for level in range(iterations + 1)]
+        lengths = {"a": 1.0, "b": float(lat.ell)}
+        width = (float(lat.lam) ** iterations + 2) * scale
         height = (len(rows) * 1.5 + 0.5) * scale
         body = []
         for ridx, row in enumerate(rows):
             y = (0.5 + 1.5 * ridx) * scale
             for letter, left in row:
-                length = float(t.lengths[0 if letter == "a" else 1])
                 body.append(
                     f'<rect x="{(float(left) + 1) * scale:.2f}" y="{y:.2f}" '
-                    f'width="{length * scale:.2f}" height="{scale:.2f}" '
+                    f'width="{lengths[letter] * scale:.2f}" height="{scale:.2f}" '
                     f'fill="{_COLORS[letter]}" stroke="#222222" stroke-width="0.5"/>'
                 )
         return _svg_document(width, height, body)

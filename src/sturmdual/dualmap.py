@@ -18,6 +18,7 @@ from .errors import NotInvertibleError, SturmdualError
 from .invert import is_invertible
 from .quadfield import QUAD_ONE, LatticeLine, SpectralData
 from .subst import Substitution
+from .words import prefix_counts
 
 PRIMAL_KINDS = ("a", "b")
 DUAL_KINDS = ("a*", "b*")
@@ -80,9 +81,6 @@ class StrandSum(Counter):
     def all_dual(self) -> bool:
         return all(s.is_dual for s in self)
 
-    def to_json(self) -> list[str]:
-        return [str(s) for s in self.segments()]
-
     def __repr__(self):
         return "StrandSum([" + ", ".join(str(s) for s in self.segments()) + "])"
 
@@ -99,13 +97,9 @@ def e1_apply(sigma: Substitution, s: StrandSum) -> StrandSum:
     out = StrandSum()
     for seg, mult in s.items():
         wx, wy = m.apply((seg.x, seg.y))
-        na = nb = 0
-        for letter in sigma.image(seg.letter):
+        image = sigma.image(seg.letter)
+        for letter, (na, nb) in zip(image, prefix_counts(image)):
             out[Segment(wx + na, wy + nb, letter)] += mult
-            if letter == "a":
-                na += 1
-            else:
-                nb += 1
     return out
 
 

@@ -19,6 +19,7 @@ from .errors import (
 )
 from .quadfield import QUAD_ONE, QUAD_ZERO, LatticeLine, Quad, SpectralData, spectral
 from .subst import Mat2, Substitution, fixed_point_prefix, letter_fixing_power
+from .words import prefix_counts
 
 _IDX = {"a": 0, "b": 1}
 # letters of the fixed point whose prefix valuations are checked against a window
@@ -92,13 +93,9 @@ def tile_subst_from(sigma: Substitution) -> TileSubst:
     line = LatticeLine(spec.ell)
     rows: list[list[list[Quad]]] = [[[], []], [[], []]]
     for j in "ab":
-        na = nb = 0  # letters a and b of the prefix
-        for letter in sigma.image(j):
-            rows[_IDX[letter]][_IDX[j]].append(line.value(na, nb))
-            if letter == "a":
-                na += 1
-            else:
-                nb += 1
+        image = sigma.image(j)
+        for letter, counts in zip(image, prefix_counts(image)):
+            rows[_IDX[letter]][_IDX[j]].append(line.value(*counts))
     digits = DigitMatrix.from_lists(rows)
     if digits.cardinalities() != sigma.matrix():
         raise SturmdualError(f"digit counts of {sigma} differ from its matrix")
@@ -216,26 +213,19 @@ def star_dual(t: TileSubst) -> TileSubst:
     return tile_subst_from_digits(t.digits.transpose().star())
 
 
-def iterate_patch(t: TileSubst, letter: str, n: int):
-    """Level-n subdivision patch of one prototile, anchored at translation 0.
-
-    Returns (letter, left endpoint) pairs sorted left to right; the
-    tiles abut exactly.
+def iterate_patch(sigma: Substitution, letter: str, n: int) -> list[tuple[str, Quad]]:
+    """Level-n patch of one prototile, anchored at 0: the tiles of
+    sigma^n(letter) in word order, tile a of length 1 and tile b of length
+    ell, as (letter, left end) pairs.  The tiles abut, so the left end of
+    each is |w|_a + |w|_b*ell over the prefix w before it.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
-    tiles = [(letter, QUAD_ZERO)]
+    line = LatticeLine(lattice_for(sigma).ell)
+    word = letter
     for _ in range(n):
-        new = []
-        for j, tr in tiles:
-            scaled = t.inflation * tr
-            for i in "ab":
-                for d in t.digits.cell(_IDX[i], _IDX[j]):
-                    new.append((i, scaled + d))
-        tiles = new
-    out = [(ltr, t.offsets[_IDX[ltr]] + tr) for ltr, tr in tiles]
-    out.sort(key=lambda pair: pair[1])
-    return out
+        word = sigma.apply_positive(word)
+    return [(x, line.value(*counts)) for x, counts in zip(word, prefix_counts(word))]
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +307,11 @@ def lattice_for(sigma: Substitution) -> SpectralData:
         raise
 
 
-def cut_project_points(lat: SpectralData, window, phys_range) -> list[Quad]:
-    """Physical projections of lattice points whose internal projection
-    lies in the window [lo, hi); the physical range is closed on both sides.
-
-    Lattice points are integer pairs (alpha, beta), and each bound is an
-    integer sign test of alpha + beta*ell or alpha + beta*ell'; a Quad is
-    built only for each point returned.
-    """
+def _model_pairs(lat: SpectralData, window, phys_range) -> list[tuple[int, int]]:
+    """The integer pairs (alpha, beta) of the lattice points whose internal
+    coordinate alpha + beta*ell' lies in the window [lo, hi) and whose
+    physical coordinate alpha + beta*ell lies in the closed range, each
+    bound decided by one integer sign test."""
     wlo, whi = (_as_quad(window[0]), _as_quad(window[1]))
     rlo, rhi = (_as_quad(phys_range[0]), _as_quad(phys_range[1]))
     denom = lat.ell - lat.ell_conj
@@ -346,7 +333,18 @@ def cut_project_points(lat: SpectralData, window, phys_range) -> list[Quad]:
         for alpha in range(alo, ahi + 1):
             if intern.sign(alpha, beta, 0) >= 0 > intern.sign(alpha, beta, 1):
                 points.append((alpha, beta))
-    return [phys.value(alpha, beta) for alpha, beta in phys.ordered(points)]
+    return points
+
+
+def cut_project_points(lat: SpectralData, window, phys_range) -> list[Quad]:
+    """Physical projections of lattice points whose internal projection
+    lies in the window [lo, hi); the physical range is closed on both sides.
+
+    Lattice points are integer pairs (alpha, beta), tested and sorted as
+    such; a Quad is built only for each point returned.
+    """
+    line = LatticeLine(lat.ell)
+    return [line.value(*p) for p in line.ordered(_model_pairs(lat, window, phys_range))]
 
 
 def cut_project_verify(sigma: Substitution, phys_range) -> bool:
@@ -376,16 +374,12 @@ def cut_project_verify(sigma: Substitution, phys_range) -> bool:
     word = seed
     while phys.sign(word.count("a"), word.count("b"), 1) < 0:
         word = tau.apply_positive(word)
-    points = [(0, 0)]
-    for letter in word:
-        na, nb = points[-1]
-        points.append((na + 1, nb) if letter == "a" else (na, nb + 1))
-    vertices = {v for v in points if phys.sign(*v, 0) >= 0 >= phys.sign(*v, 1)}
+    vertices = {v for v in prefix_counts(word) if phys.sign(*v, 0) >= 0 >= phys.sign(*v, 1)}
     window = rauzy_decomposition(sigma).window()
     intern = LatticeLine(lat.ell_conj, *window)
     if any(intern.sign(*v, 0) < 0 or intern.sign(*v, 1) > 0 for v in vertices):
         return False
-    model = (phys.coordinates(p) for p in cut_project_points(lat, window, (rlo, rhi)))
+    model = _model_pairs(lat, window, (rlo, rhi))
     return all(p in vertices for p in model if intern.sign(*p, 0) > 0)
 
 
@@ -400,7 +394,9 @@ def sturmian_word(alpha: Quad, rho, convention: str, n: int) -> str:
 
     convention "lower" uses [0, 1-alpha) vs [1-alpha, 1); "upper" uses
     (0, 1-alpha] vs (1-alpha, 1].  Letter k is "ab"[f(x + alpha) - f(x)]
-    at x = rho + k*alpha, with f = floor for "lower" and ceil for "upper".
+    at x = rho + k*alpha, with f = floor for "lower" and ceil for "upper",
+    and each f(rho + k*alpha) is one integer floor or ceiling on the
+    lattice line of alpha against the bound -rho.
     """
     if convention not in ("lower", "upper"):
         raise ValueError("convention must be 'lower' or 'upper'")
@@ -409,16 +405,10 @@ def sturmian_word(alpha: Quad, rho, convention: str, n: int) -> str:
     alpha = _as_quad(alpha)
     if alpha.is_rational or not (QUAD_ZERO < alpha < QUAD_ONE):
         raise SturmdualError("slope must be a quadratic irrational in (0, 1)")
-    f = Quad.floor if convention == "lower" else Quad.ceil
-    x = _as_quad(rho)
-    level = f(x)
-    out = []
-    for _ in range(n):
-        x = x + alpha
-        nxt = f(x)
-        out.append("ab"[nxt - level])
-        level = nxt
-    return "".join(out)
+    line = LatticeLine(alpha, -rho)
+    f = line.floor if convention == "lower" else line.ceil
+    levels = [f(0, k, 0) for k in range(n + 1)]
+    return "".join("ab"[nxt - level] for level, nxt in zip(levels, levels[1:]))
 
 
 def characteristic_word(alpha: Quad, n: int) -> str:

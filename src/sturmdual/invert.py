@@ -137,8 +137,8 @@ def reciprocal(sigma: Substitution) -> Substitution:
     if not (words.is_positive(bar_a) and words.is_positive(bar_b)):
         raise SturmdualError(f"reciprocal of {sigma} is not positive")
     bar = Substitution(bar_a, bar_b)
-    me = GEN_E.matrix()
-    if me.mul(bar.matrix()).mul(me) != m.transpose():
+    # E*bar*E = M^T for the letter swap E, that is, bar's matrix is E*M^T*E
+    if bar.matrix() != Mat2(m.m22, m.m12, m.m21, m.m11):
         raise SturmdualError(f"matrix of the reciprocal {bar} of {sigma} is wrong")
     return bar
 

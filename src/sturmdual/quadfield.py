@@ -372,19 +372,6 @@ class LatticeLine:
         q = Fraction(beta * self.b, self.n)
         return Quad._canonical(Fraction(alpha * self.n + beta * self.a, self.n), q, self.d if q else 0)
 
-    def coordinates(self, z: Quad) -> tuple[int, int] | None:
-        """The integers (alpha, beta) with alpha + beta*x == z for an
-        irrational x, or None when z is not such a point."""
-        if z.d not in (0, self.d):
-            raise SturmdualError(f"incompatible radicands sqrt({self.d}) and sqrt({z.d})")
-        # z = (alpha*n + beta*a + beta*b*sqrt(d)) / n
-        beta, rem = divmod(z.q.numerator * self.n, z.q.denominator * self.b)
-        if rem:
-            return None
-        p = z.p
-        alpha, rem = divmod(p.numerator * self.n - beta * self.a * p.denominator, p.denominator * self.n)
-        return None if rem else (alpha, beta)
-
     def ordered(self, points) -> list[tuple[int, int]]:
         """The pairs (alpha, beta) in increasing order of alpha + beta*x."""
         n, a, b, d = self.n, self.a, self.b, self.d

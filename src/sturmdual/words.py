@@ -8,6 +8,8 @@ pair).  The empty word prints as ``"e"``.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .errors import ParseError
 
 LETTERS = "ab"
@@ -72,6 +74,12 @@ def reduce_concat(u: str, v: str) -> str:
 def invert_word(u: str) -> str:
     """Group inverse: reverse the word and flip every sign."""
     return u[::-1].swapcase()
+
+
+def prefix_counts(word: str) -> list[tuple[int, int]]:
+    """The letter counts (|w|_a, |w|_b) of every prefix w of a positive
+    word, the empty prefix first: the lattice point of w is |w|_a + |w|_b*ell."""
+    return [(m - nb, nb) for m, nb in enumerate(accumulate(map("b".__eq__, word), initial=0))]
 
 
 def abelianize(u: str) -> tuple[int, int]:

@@ -24,7 +24,7 @@ from sturmdual.cli import (
 )
 from sturmdual.errors import SturmdualError
 from sturmdual.invert import GENERATOR_ORDER, GENERATORS
-from sturmdual.quadfield import MAX_CF_QUOTIENTS
+from sturmdual.quadfield import MAX_CF_QUOTIENTS, format_quad, parse_quad
 from sturmdual.subst import IDENTITY, Mat2, Substitution, parse_substitution
 
 
@@ -395,6 +395,25 @@ def test_runs_at_the_level_caps_end_in_bounded_time(argv):
     # one level more is over the cap
     code, _, err = run_cli(command, "a->ab,b->a", *options, str(int(levels) + 1))
     assert code == 1 and "more than the cap of" in err
+
+
+# a slope and an initial point in Q(sqrt(2)) that print at the literal cap,
+# over four denominators with no common repunit factor
+ALPHA_AT_CAP = "1/" + "7" * 44 + "+1/" + "3" * 43 + "*sqrt(2)"
+RHO_AT_CAP = "-1/" + "9" * 42 + "-1/" + "1" * 44 + "*sqrt(2)"
+
+
+@pytest.mark.parametrize("convention", [[], ["--upper"]], ids=["lower", "upper"])
+def test_sturmian_at_its_caps_ends_in_bounded_time(convention):
+    for literal in (ALPHA_AT_CAP, RHO_AT_CAP):
+        assert len(format_quad(parse_quad(literal))) == cli.MAX_STURMIAN_LITERAL
+    n = str(cli.MAX_STURMIAN_LENGTH)
+    start = time.perf_counter()
+    code, out, err = run_cli("sturmian", ALPHA_AT_CAP, "--rho", RHO_AT_CAP, "-n", n, *convention)
+    elapsed = time.perf_counter() - start
+    print(f"sturmian at both caps {' '.join(convention)}: {elapsed:.2f} s")
+    assert (code, err) == (0, "") and len(out) == cli.MAX_STURMIAN_LENGTH + 1
+    assert elapsed < 30
 
 
 def test_enumerate_cap_option_is_gone():

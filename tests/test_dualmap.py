@@ -252,8 +252,3 @@ def test_substrand_images_connected():
 def test_segment_text_form():
     assert str(seg(0, 1, "a*")) == "(0,1;a*)"
     assert str(seg(-2, 0, "b")) == "(-2,0;b)"
-
-
-def test_strand_sum_json():
-    s = StrandSum([seg(0, 0, "a*"), seg(0, 0, "a*"), seg(1, 0, "b*")])
-    assert s.to_json() == ["(0,0;a*)", "(0,0;a*)", "(1,0;b*)"]

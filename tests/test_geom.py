@@ -29,7 +29,7 @@ from sturmdual.geom import (
     tile_subst_from_digits,
 )
 from sturmdual.invert import generator_products
-from sturmdual.quadfield import LatticeLine, Quad, spectral
+from sturmdual.quadfield import Quad, spectral
 from sturmdual.subst import Substitution, factor_set, fixed_point_prefix, parse_substitution
 
 TAU = Quad(F(1, 2), F(1, 2), 5)
@@ -98,24 +98,34 @@ def test_tile_subst_from_digits_covering_failure():
         tile_subst_from_digits(bad)
 
 
+def _subdivided_patch(sigma, letter, n):
+    """Reference for iterate_patch: n subdivisions of one prototile by the
+    tile-substitution, each tile (j, t) becoming (i, inflation*t + d) over
+    the digits d in cell (i, j), sorted by left end."""
+    t = tile_subst_from(sigma)
+    tiles = [(letter, Quad(0))]
+    for _ in range(n):
+        tiles = [
+            (i, t.inflation * left + d)
+            for j, left in tiles
+            for i in "ab"
+            for d in t.digits.cell("ab".index(i), "ab".index(j))
+        ]
+    return sorted(tiles, key=lambda tile: tile[1])
+
+
 def test_iterate_patch():
-    t = tile_subst_from(RHO)
-    assert iterate_patch(t, "a", 1) == [("a", Quad(0)), ("b", Quad(1)), ("a", TAU)]
-    assert iterate_patch(t, "b", 0) == [("b", Quad(0))]
-    # the patch word is the substitution power, and the tiles abut, so
-    # the left ends are |w|_a + |w|_b*ell over the prefixes w of sigma^n(x):
-    # the vertices that cut_project_verify compares as integer pairs
+    assert iterate_patch(RHO, "a", 1) == [("a", Quad(0)), ("b", Quad(1)), ("a", TAU)]
+    assert iterate_patch(RHO, "b", 0) == [("b", Quad(0))]
+    with pytest.raises(ValueError):
+        iterate_patch(RHO, "a", -1)
+    # the tiles of sigma^n(x) at |w|_a + |w|_b*ell are the level-n subdivision
     members = [s for n, s in generator_products(5) if n and s.is_primitive() and s.det() == 1]
     assert len(members) == 39
     for sigma in members:
-        t = tile_subst_from(sigma)
-        line = LatticeLine(t.lengths[1])
         for x in "ab":
-            for n in (1, 2, 3):
-                word = sigma.power(n).apply(x)
-                want = [(letter, line.value(m - word.count("b", 0, m), word.count("b", 0, m)))
-                        for m, letter in enumerate(word)]
-                assert iterate_patch(t, x, n) == want, (str(sigma), x, n)
+            for n in range(4):
+                assert iterate_patch(sigma, x, n) == _subdivided_patch(sigma, x, n), (str(sigma), x, n)
 
 
 def test_rauzy_decomposition_rho():

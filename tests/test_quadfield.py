@@ -198,9 +198,6 @@ def test_lattice_line_matches_sympy():
             assert line.floor(i, j, 0) == sympy.floor(exact), (i, j, x, c)
             assert line.ceil(i, j, 0) == sympy.ceiling(exact), (i, j, x, c)
             assert sympy_value(line.value(i, j)) - (i + j * sympy_value(x)) == 0
-            if not x.is_rational:
-                assert line.coordinates(line.value(i, j)) == (i, j)
-                assert line.coordinates(line.value(i, j) + F(1, 2)) is None
             checked += 1
         if not x.is_rational and pairs[0] != pairs[1]:
             (i0, j0), (i1, j1) = pairs
@@ -214,8 +211,6 @@ def test_lattice_line_matches_sympy():
 def test_lattice_line_examples():
     line = LatticeLine(TAU, 3, TAU)  # tau = 1.618...
     assert line.value(1, 1) == Quad(F(3, 2), F(1, 2), 5) == TAU + 1
-    assert line.coordinates(TAU + 1) == (1, 1)
-    assert line.coordinates(TAU / 2) is None
     # against the bound 3: 2 + tau - 3 = 0.618, 1 + tau - 3 = -0.382, tau - tau = 0
     assert (line.sign(2, 1, 0), line.floor(2, 1, 0), line.ceil(2, 1, 0)) == (1, 0, 1)
     assert (line.sign(1, 1, 0), line.floor(1, 1, 0), line.ceil(1, 1, 0)) == (-1, -1, 0)
@@ -230,8 +225,6 @@ def test_lattice_line_refuses_a_second_field():
         LatticeLine(Quad(0, 1, 5), Quad(0, 1, 3))
     with pytest.raises(SturmdualError, match="incompatible radicands"):
         LatticeLine(Quad(1), 0, Quad(F(1, 2), 1, 2), Quad(0, 1, 7))
-    with pytest.raises(SturmdualError, match="incompatible radicands"):
-        LatticeLine(TAU).coordinates(Quad(0, 1, 2))
     # a rational bound fits every field
     assert LatticeLine(TAU, F(1, 3), 2).sign(0, 1, 0) == 1
 

@@ -60,6 +60,11 @@ def test_abelianize_examples():
     assert words.abelianize("") == (0, 0)
 
 
+@given(st.text(alphabet="ab", max_size=24))
+def test_prefix_counts_are_the_abelianized_prefixes(word):
+    assert words.prefix_counts(word) == [words.abelianize(word[:m]) for m in range(len(word) + 1)]
+
+
 def test_flip_examples():
     # the letter flip turns a^{-1}bb into abb
     assert words.flip_a("Abb") == "abb"
