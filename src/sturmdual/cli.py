@@ -571,12 +571,9 @@ def cmd_render(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_spec(p, square=True):
+def _add_spec(p):
     p.add_argument("spec", help="substitution, e.g. 'a->ab,b->a'")
-    if square:
-        p.add_argument(
-            "--square", action="store_true", help="analyze the square of the input"
-        )
+    p.add_argument("--square", action="store_true", help="analyze the square of the input")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -111,24 +111,24 @@ def e1_star_apply(sigma: Substitution, s: StrandSum) -> StrandSum:
     """
     if not s.all_dual():
         raise SturmdualError("dual extension applied to primal segments")
-    if not sigma.is_unimodular():
-        raise SturmdualError(f"{sigma} is not unimodular")
-    minv = sigma.matrix().inverse_unimodular()
+    try:
+        minv = sigma.matrix().inverse_unimodular()
+    except SturmdualError:
+        raise SturmdualError(f"{sigma} is not unimodular") from None
+    # per letter i, A(suffix after k) and j* for each k with sigma(j)_k = i:
+    # the suffix counts are the image's total minus the prefix through k
+    suffixes = {"a": [], "b": []}
+    for j, dual_kind in zip("ab", DUAL_KINDS):
+        image = sigma.image(j)
+        counts = prefix_counts(image)
+        ta, tb = counts[-1]
+        for letter, (na, nb) in zip(image, counts[1:]):
+            suffixes[letter].append((ta - na, tb - nb, dual_kind))
     out = StrandSum()
     for seg, mult in s.items():
-        for j, dual_kind in zip("ab", DUAL_KINDS):
-            image = sigma.image(j)
-            na, nb = image.count("a"), image.count("b")
-            for letter in image:
-                if letter == "a":
-                    na -= 1
-                else:
-                    nb -= 1
-                if letter != seg.letter:
-                    continue
-                # (na, nb) now counts the suffix strictly after this position
-                wx, wy = minv.apply((seg.x + na, seg.y + nb))
-                out[Segment(wx, wy, dual_kind)] += mult
+        for na, nb, dual_kind in suffixes[seg.letter]:
+            wx, wy = minv.apply((seg.x + na, seg.y + nb))
+            out[Segment(wx, wy, dual_kind)] += mult
     return out
 
 

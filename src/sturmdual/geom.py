@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     CoveringError,
@@ -17,21 +16,13 @@ from .errors import (
     NonIntervalWindowError,
     SturmdualError,
 )
-from .quadfield import QUAD_ONE, QUAD_ZERO, LatticeLine, Quad, SpectralData, spectral
-from .subst import Mat2, Substitution, fixed_point_prefix, letter_fixing_power
+from .quadfield import QUAD_ONE, QUAD_ZERO, LatticeLine, Quad, SpectralData, as_quad, spectral
+from .subst import IDENTITY, Mat2, Substitution, fixed_point_prefix, letter_fixing_power
 from .words import prefix_counts
 
 _IDX = {"a": 0, "b": 1}
 # letters of the fixed point whose prefix valuations are checked against a window
 _PREFIX_SAMPLE = 2**9
-
-
-def _as_quad(x) -> Quad:
-    if isinstance(x, Quad):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Quad(x)
-    raise TypeError(f"expected a number, got {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -43,7 +34,7 @@ class DigitMatrix:
     @classmethod
     def from_lists(cls, rows) -> "DigitMatrix":
         return cls(
-            tuple(tuple(frozenset(_as_quad(d) for d in cell) for cell in row) for row in rows)
+            tuple(tuple(frozenset(as_quad(d) for d in cell) for cell in row) for row in rows)
         )
 
     def cell(self, row: int, col: int) -> frozenset:
@@ -222,7 +213,7 @@ def iterate_patch(sigma: Substitution, letter: str, n: int) -> list[tuple[str, Q
     if n < 0:
         raise ValueError("level must be >= 0")
     line = LatticeLine(lattice_for(sigma).ell)
-    word = letter
+    word = IDENTITY.image(letter)  # sigma^0(letter), refusing a non-letter
     for _ in range(n):
         word = sigma.apply_positive(word)
     return [(x, line.value(*counts)) for x, counts in zip(word, prefix_counts(word))]
@@ -312,8 +303,8 @@ def _model_pairs(lat: SpectralData, window, phys_range) -> list[tuple[int, int]]
     coordinate alpha + beta*ell' lies in the window [lo, hi) and whose
     physical coordinate alpha + beta*ell lies in the closed range, each
     bound decided by one integer sign test."""
-    wlo, whi = (_as_quad(window[0]), _as_quad(window[1]))
-    rlo, rhi = (_as_quad(phys_range[0]), _as_quad(phys_range[1]))
+    wlo, whi = (as_quad(window[0]), as_quad(window[1]))
+    rlo, rhi = (as_quad(phys_range[0]), as_quad(phys_range[1]))
     denom = lat.ell - lat.ell_conj
     if denom.sign() <= 0:
         raise SturmdualError("lattice basis is degenerate: ell <= ell'")
@@ -363,7 +354,7 @@ def cut_project_verify(sigma: Substitution, phys_range) -> bool:
     The tiling has no vertex below 0, so a range that reaches below 0 is
     refused with SturmdualError.
     """
-    rlo, rhi = (_as_quad(phys_range[0]), _as_quad(phys_range[1]))
+    rlo, rhi = (as_quad(phys_range[0]), as_quad(phys_range[1]))
     if rlo.sign() < 0:
         raise SturmdualError(
             f"physical range [{rlo}, {rhi}] reaches below 0, where the fixed-point patch has no vertex"
@@ -402,7 +393,7 @@ def sturmian_word(alpha: Quad, rho, convention: str, n: int) -> str:
         raise ValueError("convention must be 'lower' or 'upper'")
     if n < 1:
         raise ValueError("need n >= 1")
-    alpha = _as_quad(alpha)
+    alpha = as_quad(alpha)
     if alpha.is_rational or not (QUAD_ZERO < alpha < QUAD_ONE):
         raise SturmdualError("slope must be a quadratic irrational in (0, 1)")
     line = LatticeLine(alpha, -rho)

@@ -139,16 +139,6 @@ class Quad:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "d", d)
 
-    @classmethod
-    def _canonical(cls, p: Fraction, q: Fraction, d: int) -> "Quad":
-        """The Quad p + q*sqrt(d) for parts already in canonical form
-        (d squarefree > 1 when q != 0, d == 0 when q == 0)."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "p", p)
-        object.__setattr__(x, "q", q)
-        object.__setattr__(x, "d", d)
-        return x
-
     def __setattr__(self, name, value):
         raise AttributeError("Quad is immutable")
 
@@ -159,11 +149,11 @@ class Quad:
         return self.q == 0
 
     def _coerce(self, other) -> "Quad | None":
-        if isinstance(other, Quad):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Quad(other)
-        return None
+        """as_quad(other), or None for a type no Quad operator takes."""
+        try:
+            return as_quad(other)
+        except TypeError:
+            return None
 
     def _common_d(self, other: "Quad") -> int:
         if self.d == other.d:
@@ -216,10 +206,8 @@ class Quad:
         if o is None:
             return NotImplemented
         norm = o.p * o.p - o.q * o.q * o.d
-        if norm == 0:
-            if o.p == 0 and o.q == 0:
-                raise ZeroDivisionError("division by zero")
-            raise SturmdualError("division by a zero-norm element")
+        if norm == 0:  # then o == 0: p*p == q*q*d has no rational solution for q != 0
+            raise ZeroDivisionError("division by zero")
         d = self._common_d(o)
         conj = Quad(o.p, -o.q, o.d)
         num = self * conj
@@ -279,8 +267,6 @@ class Quad:
         return Quad(self.p, -self.q, self.d)
 
     def floor(self) -> int:
-        if self.q == 0:
-            return self.p.numerator // self.p.denominator
         return _surd_floor(*self._over_one_denominator(), self.d)
 
     def ceil(self) -> int:
@@ -294,6 +280,15 @@ class Quad:
 
     def __str__(self):
         return format_quad(self)
+
+
+def as_quad(x) -> Quad:
+    """x as a Quad: a Quad itself, or an int or Fraction as a rational Quad."""
+    if isinstance(x, Quad):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Quad(x)
+    raise TypeError(f"expected a number, got {type(x).__name__}")
 
 
 QUAD_ZERO = Quad(0)
@@ -369,8 +364,7 @@ class LatticeLine:
 
     def value(self, alpha: int, beta: int) -> Quad:
         """The Quad alpha + beta*x."""
-        q = Fraction(beta * self.b, self.n)
-        return Quad._canonical(Fraction(alpha * self.n + beta * self.a, self.n), q, self.d if q else 0)
+        return Quad(Fraction(alpha * self.n + beta * self.a, self.n), Fraction(beta * self.b, self.n), self.d)
 
     def ordered(self, points) -> list[tuple[int, int]]:
         """The pairs (alpha, beta) in increasing order of alpha + beta*x."""
@@ -517,9 +511,8 @@ def perron_parts(m, det: int) -> tuple[int, Triple, Triple, Triple]:
 def spectral(m) -> SpectralData:
     """Exact eigendata for a primitive subst.Mat2 with determinant +-1.
 
-    The six fields are built as Quads straight from the integer triples
-    of perron_parts and their conjugates, one Fraction per part, with no
-    further normalization.
+    The six fields are Quads built from the integer triples of
+    perron_parts and their conjugates.
     """
     det = m.det()
     if det not in (1, -1):
@@ -530,7 +523,7 @@ def spectral(m) -> SpectralData:
     fields = []
     for a, b, n in triples:
         p, q = Fraction(a, n), Fraction(b, n)
-        fields += [Quad._canonical(p, q, d), Quad._canonical(p, -q, d)]
+        fields += [Quad(p, q, d), Quad(p, -q, d)]
     return SpectralData(*fields)
 
 
@@ -558,7 +551,7 @@ def dual_frequency_value(alpha: Quad) -> Quad:
     tp, ts, tq = dual_frequency_parts(a, b, n, alpha.d)
     if tq == 0:
         raise SturmdualError("conjugate frequency 1/2 is not quadratic")
-    return Quad._canonical(Fraction(tp, tq), Fraction(ts, tq), alpha.d)
+    return Quad(Fraction(tp, tq), Fraction(ts, tq), alpha.d)
 
 
 def is_sturm_number(x: Quad) -> bool:
@@ -867,7 +860,7 @@ def cf_dual_transform(c: CF) -> CF:
     parts = _square_part_with_field(n, c.value_hint.d) if c.value_hint is not None else None
     if parts is not None:
         root, d = parts
-        hint = Quad._canonical(Fraction(tp, tq), Fraction(ts * root, tq), d)
+        hint = Quad(Fraction(tp, tq), Fraction(ts * root, tq), d)
     expected = CF(*surd_quotients(tp, ts, tq, n), hint)
     for pre, per in _sturm_transform_candidates(c):
         try:

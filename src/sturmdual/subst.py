@@ -236,9 +236,9 @@ def fixed_point_prefix(sigma: Substitution, n: int) -> str:
     return prefix
 
 
-# factor sets kept by factor_set: enough for the sets that one
-# comparison or check asks for more than once, such as the dual's set
-# in each of the two hull comparisons of the reciprocal-dual check
+# factor sets kept by factor_set: enough for the sets that one check
+# asks for more than once, such as factor_set(sigma, 12), which
+# checks.power_hull compares with the square's and with the cube's
 FACTOR_SET_CACHE_SIZE = 8
 
 

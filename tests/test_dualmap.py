@@ -73,6 +73,23 @@ def test_e1_star_apply_kinds_are_the_shared_strings():
                 assert any(out.kind is shared for shared in DUAL_KINDS), (str(sigma), out)
 
 
+def test_e1_star_apply_is_additive():
+    # the image of sum m_i*s_i is sum m_i*E1*(s_i), with multiplicities >= 2
+    # and both dual kinds in one sum
+    rng = random.Random(26)
+    grid = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    members = [s for n, s in generator_products(5) if n and s.is_unimodular()]
+    assert len(members) == 142
+    for sigma in members:
+        cells = rng.sample(grid, 4)
+        parts = [(seg(x, y, kind), rng.randint(2, 4)) for (x, y), kind in zip(cells, DUAL_KINDS * 2)]
+        expected = StrandSum()
+        for segment, m in parts:
+            for image_seg, k in e1_star_apply(sigma, StrandSum([segment])).items():
+                expected[image_seg] += m * k
+        assert e1_star_apply(sigma, StrandSum(dict(parts))) == expected, str(sigma)
+
+
 def test_e1_star_guards():
     with pytest.raises(SturmdualError):
         e1_star_apply(KRIEGER, StrandSum.single(0, 0, "a*"))

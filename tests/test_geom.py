@@ -29,7 +29,7 @@ from sturmdual.geom import (
     tile_subst_from_digits,
 )
 from sturmdual.invert import generator_products
-from sturmdual.quadfield import Quad, spectral
+from sturmdual.quadfield import LatticeLine, Quad, as_quad, spectral
 from sturmdual.subst import Substitution, factor_set, fixed_point_prefix, parse_substitution
 
 TAU = Quad(F(1, 2), F(1, 2), 5)
@@ -126,6 +126,39 @@ def test_iterate_patch():
         for x in "ab":
             for n in range(4):
                 assert iterate_patch(sigma, x, n) == _subdivided_patch(sigma, x, n), (str(sigma), x, n)
+
+
+@pytest.mark.parametrize("letter", ["c", "A", "ab", ""])
+def test_iterate_patch_refuses_a_non_letter(letter):
+    for n in (0, 3):
+        with pytest.raises(ValueError, match=f"^not a letter: {letter!r}$"):
+            iterate_patch(RHO, letter, n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Quad(0.5),
+        lambda: Quad(1) + 0.5,
+        lambda: 0.5 + Quad(1),
+        lambda: Quad(1) < 0.5,
+        lambda: as_quad(0.5),
+        lambda: LatticeLine(0.5),
+        lambda: sturmian_word(0.5, 0, "lower", 5),
+        lambda: cut_project_points(lattice_for(RHO), (0, 0.5), (0, 10)),
+        lambda: DigitMatrix.from_lists([[[0, 0.5], [0]], [[1], [1]]]),
+    ],
+    ids=["Quad", "add", "radd", "lt", "as_quad", "LatticeLine", "sturmian_word", "cut_project_points", "from_lists"],
+)
+def test_every_number_entry_point_refuses_a_float(call):
+    with pytest.raises(TypeError, match="float"):
+        call()
+
+
+def test_a_quad_is_unequal_to_a_foreign_type():
+    assert (Quad(1) == "x") is False
+    assert (Quad(1) != "x") is True
+    assert Quad(1) == 1 == as_quad(F(1)) and as_quad(TAU) is TAU
 
 
 def test_rauzy_decomposition_rho():
